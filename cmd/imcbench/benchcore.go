@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"imc/internal/core"
 	"imc/internal/diffusion"
 	"imc/internal/expt"
 	"imc/internal/graph"
@@ -15,8 +16,10 @@ import (
 	"imc/internal/xrand"
 )
 
-// coreBenchSchema versions the -benchcore output shape.
-const coreBenchSchema = "imc-corebench/v1"
+// coreBenchSchema versions the -benchcore output shape. v2 records
+// GOMAXPROCS, which the parallel rows (PoolGenerate, MCBenefit,
+// Estimate) scale with.
+const coreBenchSchema = "imc-corebench/v2"
 
 // benchStats is one measurement: wall time and allocation pressure per
 // operation, straight from testing.BenchmarkResult.
@@ -42,6 +45,7 @@ type coreBenchmark struct {
 type coreBenchReport struct {
 	Schema     string          `json:"schema"`
 	GoVersion  string          `json:"goversion"`
+	GOMAXPROCS int             `json:"gomaxprocs"`
 	Dataset    string          `json:"dataset"`
 	PoolSize   int             `json:"poolSize"`
 	SeedSetK   int             `json:"seedSetK"`
@@ -49,10 +53,11 @@ type coreBenchReport struct {
 }
 
 // runBenchCore measures the solver kernels the hot-path contracts
-// guard — RIC sample generation and the greedy seed-selection scans —
-// and writes a machine-readable report. basePath, when non-empty,
-// names an earlier -benchcore file whose numbers become the "before"
-// column (used to pin the before/after deltas of a kernel change).
+// guard — RIC sample generation, the greedy seed-selection scans and
+// the Estimate check — and writes a machine-readable report. basePath,
+// when non-empty, names an earlier -benchcore file whose numbers become
+// the "before" column (used to pin the before/after deltas of a kernel
+// change).
 func runBenchCore(outPath, basePath string) error {
 	const (
 		dataset  = "facebook"
@@ -73,20 +78,25 @@ func runBenchCore(outPath, basePath string) error {
 	}
 
 	rep := coreBenchReport{
-		Schema:    coreBenchSchema,
-		GoVersion: runtime.Version(),
-		Dataset:   fmt.Sprintf("%s/scale=%g", dataset, scale),
-		PoolSize:  poolSize,
-		SeedSetK:  k,
+		Schema:     coreBenchSchema,
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Dataset:    fmt.Sprintf("%s/scale=%g", dataset, scale),
+		PoolSize:   poolSize,
+		SeedSetK:   k,
 	}
 	// Best-of-3: scheduler and allocator noise only ever slows a run
 	// down, so the minimum wall time is the most repeatable statistic.
 	// Allocation counts are deterministic and identical across reps.
 	const reps = 3
-	add := func(name string, fn func(b *testing.B)) {
+	rows, err := coreBenches(inst, pool, k)
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
 		var best benchStats
 		for i := 0; i < reps; i++ {
-			r := testing.Benchmark(fn)
+			r := testing.Benchmark(row.fn)
 			s := benchStats{
 				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 				BytesPerOp:  r.AllocedBytesPerOp(),
@@ -96,18 +106,8 @@ func runBenchCore(outPath, basePath string) error {
 				best = s
 			}
 		}
-		rep.Benchmarks = append(rep.Benchmarks, coreBenchmark{Name: name, After: best})
+		rep.Benchmarks = append(rep.Benchmarks, coreBenchmark{Name: row.name, After: best})
 	}
-	seeds, err := maxr.GreedyCHat(pool, k)
-	if err != nil {
-		return err
-	}
-	add("RICGenerate/IC", benchGenerate(inst, diffusion.IC))
-	add("RICGenerate/LT", benchGenerate(inst, diffusion.LT))
-	add("PoolGenerate/IC", benchPoolGenerate(inst, poolSize))
-	add("GreedyCHat/k=10", benchGreedy(pool, k, maxr.GreedyCHat))
-	add("GreedyNu/k=10", benchGreedy(pool, k, maxr.GreedyNu))
-	add("MCBenefit/IC", benchMCBenefit(inst, seeds))
 
 	if basePath != "" {
 		data, err := os.ReadFile(basePath)
@@ -143,6 +143,31 @@ func runBenchCore(outPath, basePath string) error {
 	}
 	fmt.Printf("wrote %s\n", outPath)
 	return nil
+}
+
+// coreBench is one -benchcore row before it is measured.
+type coreBench struct {
+	name string
+	fn   func(b *testing.B)
+}
+
+// coreBenches lists the -benchcore rows in report order over a fixed
+// instance and pool; the seed set the estimators score is the pool's
+// greedy ĉ_R selection of k seeds.
+func coreBenches(inst *expt.Instance, pool *ric.Pool, k int) ([]coreBench, error) {
+	seeds, err := maxr.GreedyCHat(pool, k)
+	if err != nil {
+		return nil, err
+	}
+	return []coreBench{
+		{"RICGenerate/IC", benchGenerate(inst, diffusion.IC)},
+		{"RICGenerate/LT", benchGenerate(inst, diffusion.LT)},
+		{"PoolGenerate/IC", benchPoolGenerate(inst, pool.NumSamples())},
+		{"GreedyCHat/k=10", benchGreedy(pool, k, maxr.GreedyCHat)},
+		{"GreedyNu/k=10", benchGreedy(pool, k, maxr.GreedyNu)},
+		{"MCBenefit/IC", benchMCBenefit(inst, seeds)},
+		{"Estimate/IC", benchEstimate(inst, seeds)},
+	}, nil
 }
 
 // benchGenerate times one RIC sample draw (generator hot path: the
@@ -192,6 +217,26 @@ func benchMCBenefit(inst *expt.Instance, seeds []graph.NodeID) func(b *testing.B
 				Iterations: 512, Seed: 11, Workers: 4,
 			}); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// benchEstimate times one Estimate check (paper Alg. 6) of a fixed
+// seed set: parallel RIC draws at GOMAXPROCS workers, folded in draw
+// order until the stopping rule fires.
+func benchEstimate(inst *expt.Instance, seeds []graph.NodeID) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			est, err := core.Estimate(inst.G, inst.Part, seeds, core.EstimateOptions{
+				Eps: 0.1, Delta: 0.1, TMax: 1 << 16, Seed: 13,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !est.Converged {
+				b.Fatal("Estimate/IC did not converge; the row would time TMax draws instead")
 			}
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"imc/internal/community"
 	"imc/internal/diffusion"
@@ -17,10 +19,14 @@ import (
 	"imc/internal/xrand"
 )
 
-// ctxPollBatch is how many fresh RIC samples Estimate draws between
-// cooperative ctx.Err() polls — batch-boundary cancellation that keeps
-// the check off the per-sample hot path.
-const ctxPollBatch = 1024
+// estimateBatch is how many consecutive draws one worker evaluates per
+// Estimate round. The caller folds a round's outcomes in draw order and
+// stops at the first draw that reaches the threshold, so a call draws
+// at most workers·estimateBatch−1 samples past the stopping one; 128
+// keeps that waste small next to the thousands of draws a call makes,
+// while a round is still long enough to amortize its goroutine
+// hand-off. The ctx poll runs once per round.
+const estimateBatch = 128
 
 // EstimateResult is the outcome of the Estimate procedure. One is
 // produced per stop-and-stare round; the layout is pinned waste-free
@@ -53,6 +59,10 @@ type EstimateOptions struct {
 	// indicator X_g(S) to min(|I_g(S)|/h_g, 1) — estimating ν(S)
 	// instead of c(S). Used by the ν-guided UBG stop rule.
 	Fractional bool
+	// Workers bounds the goroutines drawing samples; 0 means
+	// GOMAXPROCS. The result does not depend on it: draw t always uses
+	// PRNG stream t and outcomes are folded in t order.
+	Workers int
 }
 
 // Estimate implements the paper's Alg. 6: draw fresh RIC samples until
@@ -62,11 +72,17 @@ func Estimate(g *graph.Graph, part *community.Partition, seeds []graph.NodeID, o
 	return EstimateCtx(context.Background(), g, part, seeds, opts)
 }
 
-// EstimateCtx is Estimate with cooperative cancellation: the sampling
-// loop polls ctx every ctxPollBatch draws (never per sample). A
-// completed run is byte-identical to the ctx-free path.
+// EstimateCtx is Estimate run in parallel with cooperative
+// cancellation. Draws are evaluated in rounds: worker w of a round
+// evaluates the fixed range of estimateBatch draws starting at
+// base+w·estimateBatch+1 on its own generator, draw t reseeded from
+// PRNG stream t, and the caller then folds the round's outcomes in t
+// order, stopping at the first t whose mass reaches Λ′. The float
+// additions therefore happen in exactly the serial order, so Benefit,
+// Samples and Converged are bit-identical for every Workers value,
+// fractional mode included. ctx is polled before each round (never per
+// sample); a completed run is byte-identical to the ctx-free path.
 //
-//imc:hotpath
 //imc:longrun
 func EstimateCtx(ctx context.Context, g *graph.Graph, part *community.Partition, seeds []graph.NodeID, opts EstimateOptions) (EstimateResult, error) {
 	if opts.Eps <= 0 || opts.Eps >= 1 {
@@ -78,42 +94,53 @@ func EstimateCtx(ctx context.Context, g *graph.Graph, part *community.Partition,
 	if opts.TMax < 1 {
 		return EstimateResult{}, fmt.Errorf("core: estimate TMax %d must be ≥ 1", opts.TMax)
 	}
-	gen, err := ric.NewGenerator(g, part, opts.Model)
-	if err != nil {
-		return EstimateResult{}, err
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	inSeed := make([]bool, g.NumNodes())
+	// A worker past the last batch TMax holds would never draw.
+	if batches := (opts.TMax + estimateBatch - 1) / estimateBatch; workers > batches {
+		workers = batches
+	}
+	est := &estimator{
+		root:       xrand.New(opts.Seed),
+		inSeed:     make([]bool, g.NumNodes()),
+		fractional: opts.Fractional,
+		gens:       make([]*ric.Generator, workers),
+		out:        make([]float64, workers*estimateBatch),
+	}
+	for w := range est.gens {
+		gen, err := ric.NewGenerator(g, part, opts.Model)
+		if err != nil {
+			return EstimateResult{}, err
+		}
+		est.gens[w] = gen
+	}
 	for _, s := range seeds {
-		if s >= 0 && int(s) < len(inSeed) {
-			inSeed[s] = true
+		if s >= 0 && int(s) < len(est.inSeed) {
+			est.inSeed[s] = true
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return EstimateResult{}, err
-	}
-	root := xrand.New(opts.Seed)
 	// Λ' = 1 + 4(e−2)·ln(2/δ')·(1+ε')/ε'².
 	lambda := 1 + 4*(math.E-2)*math.Log(2/opts.Delta)*(1+opts.Eps)/(opts.Eps*opts.Eps)
 	mass := 0.0
-	var rng xrand.RNG
-	for t := 1; t <= opts.TMax; t++ {
-		if t&(ctxPollBatch-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return EstimateResult{}, err
+	roundSize := workers * estimateBatch
+	for base := 0; base < opts.TMax; base += roundSize {
+		if err := ctx.Err(); err != nil {
+			return EstimateResult{}, err
+		}
+		n := min(roundSize, opts.TMax-base)
+		est.round(base, n)
+		for i, x := range est.out[:n] {
+			mass += x
+			if mass >= lambda {
+				t := base + i + 1
+				return EstimateResult{
+					Benefit:   part.TotalBenefit() * lambda / float64(t),
+					Samples:   t,
+					Converged: true,
+				}, nil
 			}
-		}
-		root.SplitInto(uint64(t), &rng)
-		if opts.Fractional {
-			mass += gen.FractionalInfluence(&rng, inSeed)
-		} else if gen.Influenced(&rng, inSeed) {
-			mass++
-		}
-		if mass >= lambda {
-			return EstimateResult{
-				Benefit:   part.TotalBenefit() * lambda / float64(t),
-				Samples:   t,
-				Converged: true,
-			}, nil
 		}
 	}
 	// Alg. 6 returns −1 here; we surface the best-effort mean with
@@ -123,4 +150,59 @@ func EstimateCtx(ctx context.Context, g *graph.Graph, part *community.Partition,
 		Samples:   opts.TMax,
 		Converged: false,
 	}, nil
+}
+
+// estimator is one Estimate call's shared state: the read-only seed
+// membership and root stream, one generator per worker, and the
+// outcome buffer a round fills.
+type estimator struct {
+	root   *xrand.RNG
+	inSeed []bool
+	gens   []*ric.Generator
+	// out[i] is the statistic of draw base+i+1 in the current round:
+	// 0 or 1 in indicator mode, the fractional influence otherwise.
+	// Worker w writes only out[w·estimateBatch : (w+1)·estimateBatch].
+	out        []float64
+	fractional bool
+}
+
+// round evaluates draws base+1 … base+n, worker w taking the w-th
+// estimateBatch-long range. The caller's goroutine takes range 0, so a
+// one-worker call never spawns; every spawned worker has joined when
+// round returns.
+func (e *estimator) round(base, n int) {
+	var wg sync.WaitGroup
+	for w := 1; w*estimateBatch < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			e.evalBatch(w, base, n)
+		}(w)
+	}
+	e.evalBatch(0, base, n)
+	wg.Wait()
+}
+
+// evalBatch evaluates worker w's range of the current round on its own
+// generator, reseeding draw t from PRNG stream t.
+//
+//imc:hotpath
+func (e *estimator) evalBatch(w, base, n int) {
+	lo := w * estimateBatch
+	hi := min(lo+estimateBatch, n)
+	gen := e.gens[w]
+	inSeed := e.inSeed
+	out := e.out[lo:hi]
+	var rng xrand.RNG
+	for i := range out {
+		e.root.SplitInto(uint64(base+lo+i+1), &rng)
+		switch {
+		case e.fractional:
+			out[i] = gen.FractionalInfluence(&rng, inSeed)
+		case gen.Influenced(&rng, inSeed):
+			out[i] = 1
+		default:
+			out[i] = 0
+		}
+	}
 }

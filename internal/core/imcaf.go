@@ -57,7 +57,13 @@ type Options struct {
 	Model diffusion.Model
 	// Seed drives all randomness.
 	Seed uint64
-	// Workers bounds sample-generation parallelism; 0 = GOMAXPROCS.
+	// Workers bounds the parallelism of both pool generation and the
+	// Estimate check; 0 = GOMAXPROCS. Neither result depends on it.
+	// Estimate evaluates draws in rounds of Workers batches of
+	// estimateBatch (128) draws, polls ctx once per round, and folds the
+	// outcomes in draw order, so it stops at exactly the serial loop's
+	// draw; the parallel overshoot is at most Workers·128−1 draws per
+	// call.
 	Workers int
 	// MaxSamples is a practical safety cap on |R| (Ψ can be astronomically
 	// large for weak α). 0 defaults to 1<<20.
@@ -189,7 +195,8 @@ func Solve(g *graph.Graph, part *community.Partition, solver maxr.Solver, opts O
 // the Estimate verification batches. A run that completes returns
 // byte-identical seeds with or without a context — the checks never
 // touch the PRNG streams — while a cancelled run returns the ctx error
-// promptly (within one worker batch, ~1k samples).
+// promptly (within one worker batch: ~1k samples while generating, one
+// Estimate round of Workers·128 draws while verifying).
 //
 //imc:longrun
 func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, solver maxr.Solver, opts Options) (Solution, error) {
@@ -316,6 +323,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 				Model:      opts.Model,
 				Seed:       opts.Seed ^ 0x5e5e5e5e5e5e5e5e ^ uint64(doublings)<<32,
 				Fractional: opts.NuGuided,
+				Workers:    opts.Workers,
 			})
 			if err != nil {
 				return Solution{}, err

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -27,18 +28,25 @@ func NewBuilder(n int) *Builder {
 func (b *Builder) NumNodes() int { return b.n }
 
 // AddEdge records the directed edge u->v with the given weight. Invalid
-// endpoints and self-loops are ignored; weights are clamped to [0, 1].
+// endpoints and self-loops are ignored; weights are clamped to [0, 1],
+// with NaN treated as 0.
 func (b *Builder) AddEdge(u, v NodeID, w float64) {
 	if u == v || u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
 		return
 	}
-	if w < 0 {
-		w = 0
+	b.edges = append(b.edges, Edge{From: u, To: v, Weight: clampWeight(w)})
+}
+
+// clampWeight maps w into [0, 1], treating NaN as 0: the weight domain
+// every Graph holds, so each edge has a Bernoulli threshold.
+func clampWeight(w float64) float64 {
+	if w < 0 || math.IsNaN(w) {
+		return 0
 	}
 	if w > 1 {
-		w = 1
+		return 1
 	}
-	b.edges = append(b.edges, Edge{From: u, To: v, Weight: w})
+	return w
 }
 
 // AddUndirected records both u->v and v->u with the given weight.
@@ -120,6 +128,7 @@ func (b *Builder) Build() (*Graph, error) {
 		g.inW[pos] = e.Weight
 		g.inEID[pos] = EdgeID(i)
 	}
+	g.fillThresholds()
 	return g, nil
 }
 

@@ -113,7 +113,10 @@ func FuzzWeightDigest(f *testing.F) {
 }
 
 // FuzzReadEdgeList checks the edge-list parser never panics and that
-// every successfully parsed graph survives a write/read round trip.
+// every successfully parsed graph survives both a text write/read
+// round trip and a binary WriteBinary → ReadBinary round trip with its
+// weight digest intact — the path a parsed graph takes into a pool
+// snapshot, which is where an accepted NaN weight used to fail.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1 0.5\n1 2\n", true)
 	f.Add("# comment\n3 4 1.0\n", false)
@@ -121,6 +124,8 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("", true)
 	f.Add("9999999999999999999999 1\n", true)
 	f.Add("1 2 nan\n-1 2\n", false)
+	f.Add("0 1 NaN\n", true)
+	f.Add("0 1 -0\n1 0 +Inf\n", true)
 	f.Fuzz(func(t *testing.T, input string, directed bool) {
 		g, err := ReadEdgeList(strings.NewReader(input), directed)
 		if err != nil {
@@ -128,6 +133,17 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if g.NumNodes() <= 0 {
 			t.Fatalf("parsed graph with %d nodes and no error", g.NumNodes())
+		}
+		var bin bytes.Buffer
+		if err := WriteBinary(&bin, g); err != nil {
+			t.Fatalf("binary write after successful read: %v", err)
+		}
+		rt, err := ReadBinary(&bin)
+		if err != nil {
+			t.Fatalf("binary round trip rejected a parsed graph: %v", err)
+		}
+		if rt.WeightDigest() != g.WeightDigest() {
+			t.Fatalf("weight digest changed across binary round trip: %x != %x", rt.WeightDigest(), g.WeightDigest())
 		}
 		var buf bytes.Buffer
 		if err := WriteEdgeList(&buf, g); err != nil {

@@ -12,6 +12,8 @@ package graph
 import (
 	"fmt"
 	"sort"
+
+	"imc/internal/xrand"
 )
 
 // NodeID identifies a node in [0, NumNodes()).
@@ -44,6 +46,10 @@ type Graph struct {
 	inFrom []NodeID
 	inW    []float64
 	inEID  []EdgeID
+	// inThr[i] is xrand.BernoulliThreshold(inW[i]): the integer form of
+	// the edge's live test, precomputed once so reverse samplers compare
+	// integers instead of converting every draw to a float.
+	inThr []uint64
 }
 
 // NumNodes returns the node count n.
@@ -75,6 +81,26 @@ func (g *Graph) OutNeighbors(u NodeID) ([]NodeID, []float64) {
 func (g *Graph) InNeighbors(v NodeID) ([]NodeID, []float64, []EdgeID) {
 	lo, hi := g.inOff[v], g.inOff[v+1]
 	return g.inFrom[lo:hi], g.inW[lo:hi], g.inEID[lo:hi]
+}
+
+// InThresholds returns the Bernoulli thresholds of v's in-edges
+// (xrand.BernoulliThreshold of each weight), parallel to InNeighbors.
+// rng.Below(thr) decides an edge exactly as rng.Bernoulli(w) would,
+// consuming the same draws. The slice aliases internal storage and
+// must not be modified.
+func (g *Graph) InThresholds(v NodeID) []uint64 {
+	return g.inThr[g.inOff[v]:g.inOff[v+1]]
+}
+
+// fillThresholds derives inThr from inW. Every construction site calls
+// it once the reverse weights are final; weights are never NaN by then
+// (AddEdge clamps it, ReadBinary rejects it), the one value with no
+// threshold form.
+func (g *Graph) fillThresholds() {
+	g.inThr = make([]uint64, len(g.inW))
+	for i, w := range g.inW {
+		g.inThr[i] = xrand.BernoulliThreshold(w)
+	}
 }
 
 // OutEdgeIDs returns the global edge IDs of u's out-edges, parallel to

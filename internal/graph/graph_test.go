@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"imc/internal/xrand"
 )
 
 func mustBuild(t *testing.T, b *Builder) *Graph {
@@ -99,6 +102,66 @@ func TestWeightsClamped(t *testing.T) {
 	g := mustBuild(t, b)
 	if w := g.Weight(0, 1); w != 1 {
 		t.Fatalf("weight not clamped: %g", w)
+	}
+}
+
+// TestNaNWeightIsZero: AddEdge's clamp covers NaN (both of its range
+// tests are false for NaN), so a built graph always round-trips
+// through the binary format and has a threshold for every edge.
+func TestNaNWeightIsZero(t *testing.T) {
+	b := NewBuilder(2)
+	b.AddEdge(0, 1, math.NaN())
+	g := mustBuild(t, b)
+	if w := g.Weight(0, 1); w != 0 || math.Signbit(w) {
+		t.Fatalf("NaN weight stored as %g, want 0", w)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinary(&buf); err != nil {
+		t.Fatalf("binary round trip rejected a built graph: %v", err)
+	}
+	if c := ApplyWeights(g, ConstantWeight, math.NaN(), 0); c.Weight(0, 1) != 0 {
+		t.Fatalf("ConstantWeight(NaN) stored %g, want 0", c.Weight(0, 1))
+	}
+}
+
+// TestInThresholds: every construction site fills the threshold
+// table, parallel to InNeighbors and equal to BernoulliThreshold of
+// each in-edge weight.
+func TestInThresholds(t *testing.T) {
+	base := triangle(t)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, base); err != nil {
+		t.Fatal(err)
+	}
+	fromBinary, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*Graph{
+		"build":       base,
+		"binary":      fromBinary,
+		"cascade":     ApplyWeights(base, WeightedCascade, 0, 0),
+		"constant":    ApplyWeights(base, ConstantWeight, 0.3, 0),
+		"constant>1":  ApplyWeights(base, ConstantWeight, 7, 0),
+		"trivalency":  ApplyWeights(base, Trivalency, 0, 5),
+		"unknown-tag": ApplyWeights(base, WeightScheme(99), 0, 0),
+	}
+	for name, g := range graphs {
+		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+			froms, ws, _ := g.InNeighbors(v)
+			thrs := g.InThresholds(v)
+			if len(thrs) != len(froms) {
+				t.Fatalf("%s: node %d has %d thresholds for %d in-edges", name, v, len(thrs), len(froms))
+			}
+			for i, w := range ws {
+				if want := xrand.BernoulliThreshold(w); thrs[i] != want {
+					t.Errorf("%s: edge %d->%d w=%g threshold %d, want %d", name, froms[i], v, w, thrs[i], want)
+				}
+			}
+		}
 	}
 }
 
@@ -209,11 +272,15 @@ func TestReadEdgeListUndirected(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
-	cases := []string{"abc 1\n", "1 xyz\n", "1\n", "-1 2\n", "0 1 notaweight\n", ""}
+	cases := []string{"abc 1\n", "1 xyz\n", "1\n", "-1 2\n", "0 1 notaweight\n", "", "0 1 NaN\n"}
 	for _, c := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(c), true); err == nil {
 			t.Fatalf("input %q: want error", c)
 		}
+	}
+	_, err := ReadEdgeList(strings.NewReader("0 1 0.5\n# c\n1 2 nan\n"), true)
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("NaN weight error %v does not name line 3", err)
 	}
 }
 

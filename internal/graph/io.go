@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -51,6 +52,9 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 			w, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q: %w", lineNo, fields[2], err)
+			}
+			if math.IsNaN(w) {
+				return nil, fmt.Errorf("graph: line %d: weight %q is not a number", lineNo, fields[2])
 			}
 		}
 		if u > maxNode {

@@ -19,9 +19,10 @@ const (
 )
 
 // ApplyWeights returns a copy of g with edge weights reassigned by the
-// scheme. p is the probability for ConstantWeight (ignored otherwise);
-// seed drives Trivalency.
+// scheme. p is the probability for ConstantWeight (ignored otherwise),
+// clamped to [0, 1] like Builder.AddEdge; seed drives Trivalency.
 func ApplyWeights(g *Graph, scheme WeightScheme, p float64, seed uint64) *Graph {
+	p = clampWeight(p)
 	out := cloneTopology(g)
 	switch scheme {
 	case WeightedCascade:
@@ -58,6 +59,7 @@ func ApplyWeights(g *Graph, scheme WeightScheme, p float64, seed uint64) *Graph 
 			out.inW[i] = perEdge[out.inEID[i]]
 		}
 	}
+	out.fillThresholds()
 	return out
 }
 

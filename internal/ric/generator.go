@@ -263,15 +263,19 @@ func (gen *Generator) collectiveBFS(rng *xrand.RNG) (int, []graph.NodeID) {
 }
 
 // sampleInEdgesIC decides each incoming edge of u independently with its
-// own probability (Independent Cascade).
+// own probability (Independent Cascade). The live test compares the
+// draw against the edge's precomputed integer threshold, which decides
+// exactly as rng.Bernoulli(weight) and consumes the same draws, so the
+// sample is bit-identical to the float compare (and to GenerateNaive).
 //
 //imc:hotpath
 func (gen *Generator) sampleInEdgesIC(u graph.NodeID, rng *xrand.RNG) {
-	froms, ws, _ := gen.g.InNeighbors(u)
-	ws = ws[:len(froms)] // one shared bounds proof for the parallel scan
+	froms, _, _ := gen.g.InNeighbors(u)
+	thrs := gen.g.InThresholds(u)
+	thrs = thrs[:len(froms)] // one shared bounds proof for the parallel scan
 	live := gen.liveIn[u][:0]
 	for i, v := range froms {
-		if rng.Bernoulli(ws[i]) {
+		if rng.Below(thrs[i]) {
 			live = append(live, v)
 		}
 	}

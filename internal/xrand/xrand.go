@@ -9,7 +9,10 @@
 // matters.
 package xrand
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** generator. It is NOT safe for concurrent use;
 // give each goroutine its own stream via Split.
@@ -114,6 +117,45 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// thresholdAlways is the BernoulliThreshold sentinel for p ≥ 1: Below
+// reports true without drawing. Every threshold of a p in (0, 1) is
+// strictly smaller, the largest being 2⁵³−1 for p = nextafter(1, 0).
+const thresholdAlways = 1 << 53
+
+// BernoulliThreshold returns the integer form of Bernoulli(p) for
+// Below: ceil(p·2⁵³) for 0 < p < 1, 0 (never true, no draw) for p ≤ 0,
+// and thresholdAlways (always true, no draw) for p ≥ 1. Because scaling
+// by a power of two is exact and a 53-bit integer k satisfies
+// k/2⁵³ < p exactly when k < ceil(p·2⁵³), Below(BernoulliThreshold(p))
+// returns what Bernoulli(p) returns and consumes the same draws. NaN has
+// no threshold form — Bernoulli(NaN) draws and then returns false — so
+// it maps to 0; callers that precompute thresholds must reject or
+// clamp NaN first.
+func BernoulliThreshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return thresholdAlways
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	default:
+		return 0
+	}
+}
+
+// Below reports whether the top 53 bits of the next draw fall below
+// thr, a threshold from BernoulliThreshold. The sentinels 0 and
+// thresholdAlways decide without drawing, exactly like Bernoulli's
+// p ≤ 0 and p ≥ 1 short-circuits.
+func (r *RNG) Below(thr uint64) bool {
+	if thr == 0 {
+		return false
+	}
+	if thr >= thresholdAlways {
+		return true
+	}
+	return r.Uint64()>>11 < thr
 }
 
 // Perm returns a random permutation of [0, n).
