@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -73,7 +74,7 @@ func runBenchCore(outPath, basePath string) error {
 	if err != nil {
 		return err
 	}
-	if err := pool.Generate(poolSize); err != nil {
+	if err := pool.GenerateCtx(context.Background(), poolSize); err != nil {
 		return err
 	}
 
@@ -155,7 +156,7 @@ type coreBench struct {
 // instance and pool; the seed set the estimators score is the pool's
 // greedy ĉ_R selection of k seeds.
 func coreBenches(inst *expt.Instance, pool *ric.Pool, k int) ([]coreBench, error) {
-	seeds, err := maxr.GreedyCHat(pool, k)
+	seeds, err := maxr.GreedyCHatCtx(context.Background(), pool, k)
 	if err != nil {
 		return nil, err
 	}
@@ -163,8 +164,8 @@ func coreBenches(inst *expt.Instance, pool *ric.Pool, k int) ([]coreBench, error
 		{"RICGenerate/IC", benchGenerate(inst, diffusion.IC)},
 		{"RICGenerate/LT", benchGenerate(inst, diffusion.LT)},
 		{"PoolGenerate/IC", benchPoolGenerate(inst, pool.NumSamples())},
-		{"GreedyCHat/k=10", benchGreedy(pool, k, maxr.GreedyCHat)},
-		{"GreedyNu/k=10", benchGreedy(pool, k, maxr.GreedyNu)},
+		{"GreedyCHat/k=10", benchGreedy(pool, k, maxr.GreedyCHatCtx)},
+		{"GreedyNu/k=10", benchGreedy(pool, k, maxr.GreedyNuCtx)},
 		{"MCBenefit/IC", benchMCBenefit(inst, seeds)},
 		{"Estimate/IC", benchEstimate(inst, seeds)},
 	}, nil
@@ -199,7 +200,7 @@ func benchPoolGenerate(inst *expt.Instance, count int) func(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := p.Generate(count); err != nil {
+			if err := p.GenerateCtx(context.Background(), count); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -213,7 +214,7 @@ func benchMCBenefit(inst *expt.Instance, seeds []graph.NodeID) func(b *testing.B
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := diffusion.EstimateBenefit(inst.G, inst.Part, seeds, diffusion.MCOptions{
+			if _, err := diffusion.EstimateBenefitCtx(context.Background(), inst.G, inst.Part, seeds, diffusion.MCOptions{
 				Iterations: 512, Seed: 11, Workers: 4,
 			}); err != nil {
 				b.Fatal(err)
@@ -229,7 +230,7 @@ func benchEstimate(inst *expt.Instance, seeds []graph.NodeID) func(b *testing.B)
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			est, err := core.Estimate(inst.G, inst.Part, seeds, core.EstimateOptions{
+			est, err := core.EstimateCtx(context.Background(), inst.G, inst.Part, seeds, core.EstimateOptions{
 				Eps: 0.1, Delta: 0.1, TMax: 1 << 16, Seed: 13,
 			})
 			if err != nil {
@@ -244,11 +245,12 @@ func benchEstimate(inst *expt.Instance, seeds []graph.NodeID) func(b *testing.B)
 
 // benchGreedy times one full k-seed selection over a fixed pool — the
 // candidate-scan / CELF-heap hot loops.
-func benchGreedy(pool *ric.Pool, k int, algo func(*ric.Pool, int) ([]graph.NodeID, error)) func(b *testing.B) {
+func benchGreedy(pool *ric.Pool, k int, algo func(context.Context, *ric.Pool, int) ([]graph.NodeID, error)) func(b *testing.B) {
 	return func(b *testing.B) {
+		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := algo(pool, k); err != nil {
+			if _, err := algo(ctx, pool, k); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -39,7 +40,7 @@ func TestBenchCoreShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(rep.PoolSize); err != nil {
+	if err := pool.GenerateCtx(context.Background(), rep.PoolSize); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := coreBenches(inst, pool, rep.SeedSetK)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -135,13 +136,14 @@ func run() error {
 		MaxSamples: *maxSamp,
 		BTMaxRoots: *btRoots,
 	}
+	ctx := context.Background()
 	// Timings go to stderr: stdout carries only seed-determined values,
 	// so two runs with the same -seed are byte-identical.
 	if *allAlgs {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "algorithm\tbenefit")
 		for _, name := range expt.AllAlgorithms {
-			res, err := expt.RunAlg(inst, name, *k, runCfg)
+			res, err := expt.RunAlgCtx(ctx, inst, name, *k, runCfg)
 			if err != nil {
 				return err
 			}
@@ -151,7 +153,7 @@ func run() error {
 		return tw.Flush()
 	}
 	start := time.Now()
-	res, err := expt.RunAlg(inst, strings.ToUpper(*alg), *k, runCfg)
+	res, err := expt.RunAlgCtx(ctx, inst, strings.ToUpper(*alg), *k, runCfg)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package imc_test
 
 import (
+	"context"
 	"fmt"
 
 	"imc"
@@ -42,7 +43,7 @@ func ExampleNewPool() {
 	part.SetUniformBenefits(1)
 
 	pool, _ := imc.NewPool(g, part, imc.PoolOptions{Seed: 1})
-	_ = pool.Generate(1000)
+	_ = pool.GenerateCtx(context.Background(), 1000)
 	// Node 0 reaches both members via weight-1 edges: ĉ({0}) = 1.
 	fmt.Printf("c({0}) = %.0f\n", pool.CHat([]imc.NodeID{0}))
 	fmt.Printf("c({1}) = %.0f\n", pool.CHat([]imc.NodeID{1}))

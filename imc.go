@@ -41,6 +41,7 @@
 package imc
 
 import (
+	"context"
 	"io"
 
 	"imc/internal/baselines"
@@ -301,7 +302,7 @@ func SolveBudgeted(g *Graph, part *Partition, cost CostFunc, budget float64, num
 	if numSamples < 1 {
 		numSamples = 1
 	}
-	if err := pool.Generate(numSamples); err != nil {
+	if err := pool.GenerateCtx(context.Background(), numSamples); err != nil {
 		return SolverResult{}, err
 	}
 	return maxr.SolveBudgeted(pool, cost, budget)
@@ -311,29 +312,29 @@ func SolveBudgeted(g *Graph, part *Partition, cost CostFunc, budget float64, num
 
 // Solve runs the IMC Algorithmic Framework with the given MAXR solver.
 func Solve(g *Graph, part *Partition, solver Solver, opts Options) (Solution, error) {
-	return core.Solve(g, part, solver, opts)
+	return core.SolveCtx(context.Background(), g, part, solver, opts)
 }
 
 // SolveFixed runs a solver against a fixed-size RIC pool.
 func SolveFixed(g *Graph, part *Partition, solver Solver, k, numSamples int, opts Options) (Solution, error) {
-	return core.SolveFixed(g, part, solver, k, numSamples, opts)
+	return core.SolveFixedCtx(context.Background(), g, part, solver, k, numSamples, opts)
 }
 
 // Estimate runs the paper's Alg. 6 verification estimator for c(S).
 func Estimate(g *Graph, part *Partition, seeds []NodeID, opts EstimateOptions) (EstimateResult, error) {
-	return core.Estimate(g, part, seeds, opts)
+	return core.EstimateCtx(context.Background(), g, part, seeds, opts)
 }
 
 // Forward Monte-Carlo evaluation.
 
 // EstimateBenefit Monte-Carlo-estimates c(S) with forward cascades.
 func EstimateBenefit(g *Graph, part *Partition, seeds []NodeID, opts MCOptions) (float64, error) {
-	return diffusion.EstimateBenefit(g, part, seeds, opts)
+	return diffusion.EstimateBenefitCtx(context.Background(), g, part, seeds, opts)
 }
 
 // EstimateSpread Monte-Carlo-estimates the expected activation count.
 func EstimateSpread(g *Graph, seeds []NodeID, opts MCOptions) (float64, error) {
-	return diffusion.EstimateSpread(g, seeds, opts)
+	return diffusion.EstimateSpreadCtx(context.Background(), g, seeds, opts)
 }
 
 // TraceRound is one round of a traced cascade.
@@ -355,16 +356,20 @@ func KS(g *Graph, part *Partition, k int) ([]NodeID, error) { return baselines.K
 
 // IM selects seeds by classic influence maximization (RIS).
 func IM(g *Graph, part *Partition, k int, opts RISOptions) ([]NodeID, error) {
-	return baselines.IM(g, part, k, opts)
+	return baselines.IMCtx(context.Background(), g, part, k, opts)
 }
 
 // SolveIM runs the SSA-style IM solver directly, returning spread
 // diagnostics alongside the seeds.
-func SolveIM(g *Graph, opts RISOptions) (ris.Solution, error) { return ris.Solve(g, opts) }
+func SolveIM(g *Graph, opts RISOptions) (ris.Solution, error) {
+	return ris.SolveCtx(context.Background(), g, opts)
+}
 
 // SolveIMM runs the IMM influence-maximization algorithm (Tang et al.
 // 2014), the other state-of-the-art IM framework the paper cites.
-func SolveIMM(g *Graph, opts RISOptions) (ris.Solution, error) { return ris.SolveIMM(g, opts) }
+func SolveIMM(g *Graph, opts RISOptions) (ris.Solution, error) {
+	return ris.SolveIMMCtx(context.Background(), g, opts)
+}
 
 // DegreeDiscount selects seeds by the classic degree-discount IC
 // heuristic with propagation probability p.

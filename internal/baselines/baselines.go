@@ -118,14 +118,9 @@ func KS(g *graph.Graph, part *community.Partition, k int) ([]graph.NodeID, error
 	return seeds, nil
 }
 
-// IM runs classic influence maximization (internal/ris) and returns its
-// seed set, ignoring community structure entirely.
-func IM(g *graph.Graph, part *community.Partition, k int, opts ris.Options) ([]graph.NodeID, error) {
-	return IMCtx(context.Background(), g, part, k, opts)
-}
-
-// IMCtx is IM with cooperative cancellation threaded into the RIS
-// solver.
+// IMCtx runs classic influence maximization (internal/ris) and returns
+// its seed set, ignoring community structure entirely. ctx is threaded
+// into the RIS solver.
 //
 //imc:longrun
 func IMCtx(ctx context.Context, g *graph.Graph, part *community.Partition, k int, opts ris.Options) ([]graph.NodeID, error) {

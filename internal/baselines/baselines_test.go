@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"imc/internal/community"
@@ -124,7 +125,7 @@ func TestKSIsOptimalKnapsack(t *testing.T) {
 
 func TestIMBaseline(t *testing.T) {
 	g, part := instance(t)
-	seeds, err := IM(g, part, 4, ris.Options{Seed: 9})
+	seeds, err := IMCtx(context.Background(), g, part, 4, ris.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

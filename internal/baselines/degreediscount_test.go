@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
 	"imc/internal/diffusion"
@@ -103,12 +104,12 @@ func TestDegreeDiscountCompetitiveSpread(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := diffusion.MCOptions{Iterations: 3000, Seed: 13}
-	ddSpread, err := diffusion.EstimateSpread(g, dd, opt)
+	ddSpread, err := diffusion.EstimateSpreadCtx(context.Background(), g, dd, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tail := []graph.NodeID{490, 491, 492, 493, 494, 495, 496, 497, 498, 499}
-	tailSpread, err := diffusion.EstimateSpread(g, tail, opt)
+	tailSpread, err := diffusion.EstimateSpreadCtx(context.Background(), g, tail, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

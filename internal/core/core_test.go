@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log/slog"
 	"math"
@@ -37,7 +38,7 @@ func testInstance(t *testing.T, seed uint64) (*graph.Graph, *community.Partition
 
 func TestSolveEndToEnd(t *testing.T) {
 	g, part := testInstance(t, 3)
-	sol, err := Solve(g, part, maxr.UBG{}, Options{K: 4, Eps: 0.3, Delta: 0.3, Seed: 7, MaxSamples: 1 << 14})
+	sol, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, Options{K: 4, Eps: 0.3, Delta: 0.3, Seed: 7, MaxSamples: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestSolveEndToEnd(t *testing.T) {
 	}
 	// The pool estimate must agree with an independent Monte-Carlo
 	// estimate of c(S) within loose statistical tolerance.
-	mc, err := diffusion.EstimateBenefit(g, part, sol.Seeds, diffusion.MCOptions{Iterations: 20000, Seed: 11})
+	mc, err := diffusion.EstimateBenefitCtx(context.Background(), g, part, sol.Seeds, diffusion.MCOptions{Iterations: 20000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSolveEndToEnd(t *testing.T) {
 func TestSolveAllSolvers(t *testing.T) {
 	g, part := testInstance(t, 9)
 	for _, s := range []maxr.Solver{maxr.UBG{}, maxr.MAF{}, maxr.MB{BT: maxr.BT{MaxRoots: 10}}} {
-		sol, err := Solve(g, part, s, Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 13})
+		sol, err := SolveCtx(context.Background(), g, part, s, Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 13})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -94,7 +95,7 @@ func TestSolveVacuousGuarantee(t *testing.T) {
 	}
 	part.SetFractionThresholds(0.9) // h ≈ 9-10 > k
 	part.SetPopulationBenefits()
-	sol, err := Solve(g, part, maxr.MAF{}, Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 12})
+	sol, err := SolveCtx(context.Background(), g, part, maxr.MAF{}, Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestSolveVacuousGuarantee(t *testing.T) {
 
 func TestSolveNuGuided(t *testing.T) {
 	g, part := testInstance(t, 21)
-	sol, err := Solve(g, part, maxr.UBG{}, Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 13, NuGuided: true})
+	sol, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 13, NuGuided: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestSolveNuGuided(t *testing.T) {
 
 func TestSolveFixed(t *testing.T) {
 	g, part := testInstance(t, 31)
-	sol, err := SolveFixed(g, part, maxr.UBG{}, 3, 500, Options{Seed: 2})
+	sol, err := SolveFixedCtx(context.Background(), g, part, maxr.UBG{}, 3, 500, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestSolveFixed(t *testing.T) {
 	if len(sol.Seeds) != 3 {
 		t.Fatalf("seeds = %v", sol.Seeds)
 	}
-	if _, err := SolveFixed(g, part, maxr.UBG{}, 3, 0, Options{}); err == nil {
+	if _, err := SolveFixedCtx(context.Background(), g, part, maxr.UBG{}, 3, 0, Options{}); err == nil {
 		t.Fatal("want numSamples error")
 	}
 }
@@ -143,11 +144,11 @@ func TestSolveFixed(t *testing.T) {
 func TestSolveDeterministic(t *testing.T) {
 	g, part := testInstance(t, 41)
 	opts := Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 77, MaxSamples: 1 << 12}
-	a, err := Solve(g, part, maxr.UBG{}, opts)
+	a, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, part, maxr.UBG{}, opts)
+	b, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestOptionsValidation(t *testing.T) {
 		{K: 1000, Eps: 0.2, Delta: 0.2}, // K > n
 	}
 	for i, o := range bad {
-		if _, err := Solve(g, part, maxr.UBG{}, o); err == nil {
+		if _, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, o); err == nil {
 			t.Fatalf("case %d: want validation error", i)
 		}
 	}
@@ -179,7 +180,7 @@ func TestOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(g, small, maxr.UBG{}, Options{K: 2, Eps: 0.2, Delta: 0.2}); err == nil {
+	if _, err := SolveCtx(context.Background(), g, small, maxr.UBG{}, Options{K: 2, Eps: 0.2, Delta: 0.2}); err == nil {
 		t.Fatal("want mismatch error")
 	}
 }
@@ -187,14 +188,14 @@ func TestOptionsValidation(t *testing.T) {
 func TestEstimateAgainstMonteCarlo(t *testing.T) {
 	g, part := testInstance(t, 61)
 	seeds := []graph.NodeID{0, 1, 2, 3, 4, 5}
-	est, err := Estimate(g, part, seeds, EstimateOptions{Eps: 0.1, Delta: 0.1, TMax: 1 << 18, Seed: 3})
+	est, err := EstimateCtx(context.Background(), g, part, seeds, EstimateOptions{Eps: 0.1, Delta: 0.1, TMax: 1 << 18, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !est.Converged {
 		t.Fatal("estimate did not converge on a rich seed set")
 	}
-	mc, err := diffusion.EstimateBenefit(g, part, seeds, diffusion.MCOptions{Iterations: 20000, Seed: 5})
+	mc, err := diffusion.EstimateBenefitCtx(context.Background(), g, part, seeds, diffusion.MCOptions{Iterations: 20000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +210,11 @@ func TestEstimateAgainstMonteCarlo(t *testing.T) {
 func TestEstimateFractionalAtLeastIndicator(t *testing.T) {
 	g, part := testInstance(t, 71)
 	seeds := []graph.NodeID{0, 1, 2}
-	ind, err := Estimate(g, part, seeds, EstimateOptions{Eps: 0.15, Delta: 0.15, TMax: 1 << 17, Seed: 9})
+	ind, err := EstimateCtx(context.Background(), g, part, seeds, EstimateOptions{Eps: 0.15, Delta: 0.15, TMax: 1 << 17, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac, err := Estimate(g, part, seeds, EstimateOptions{Eps: 0.15, Delta: 0.15, TMax: 1 << 17, Seed: 9, Fractional: true})
+	frac, err := EstimateCtx(context.Background(), g, part, seeds, EstimateOptions{Eps: 0.15, Delta: 0.15, TMax: 1 << 17, Seed: 9, Fractional: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestEstimateValidation(t *testing.T) {
 		{Eps: 0.1, Delta: 0.1, TMax: 0},
 	}
 	for i, o := range cases {
-		if _, err := Estimate(g, part, []graph.NodeID{0}, o); err == nil {
+		if _, err := EstimateCtx(context.Background(), g, part, []graph.NodeID{0}, o); err == nil {
 			t.Fatalf("case %d: want error", i)
 		}
 	}
@@ -273,13 +274,13 @@ func TestStopReasonString(t *testing.T) {
 func TestSolveLeavesNoGoroutines(t *testing.T) {
 	g, part := testInstance(t, 7)
 	// Warm up once so lazily-started runtime goroutines don't count.
-	if _, err := Solve(g, part, maxr.MAF{}, Options{K: 2, Eps: 0.3, Delta: 0.3, Seed: 1, MaxSamples: 1 << 11, Workers: 4}); err != nil {
+	if _, err := SolveCtx(context.Background(), g, part, maxr.MAF{}, Options{K: 2, Eps: 0.3, Delta: 0.3, Seed: 1, MaxSamples: 1 << 11, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		if _, err := Solve(g, part, maxr.MAF{}, Options{K: 2, Eps: 0.3, Delta: 0.3, Seed: uint64(i), MaxSamples: 1 << 11, Workers: 4}); err != nil {
+		if _, err := SolveCtx(context.Background(), g, part, maxr.MAF{}, Options{K: 2, Eps: 0.3, Delta: 0.3, Seed: uint64(i), MaxSamples: 1 << 11, Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +298,7 @@ func TestSolveLogsProgress(t *testing.T) {
 	g, part := testInstance(t, 99)
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	_, err := Solve(g, part, maxr.MAF{}, Options{
+	_, err := SolveCtx(context.Background(), g, part, maxr.MAF{}, Options{
 		K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 12, Logger: logger,
 	})
 	if err != nil {
@@ -330,7 +331,7 @@ func TestNonSubmodularExample(t *testing.T) {
 	}
 	part.SetBoundedThresholds(2)
 	mc := func(seeds []graph.NodeID) float64 {
-		v, err := diffusion.EstimateBenefit(g, part, seeds, diffusion.MCOptions{Iterations: 200, Seed: 1})
+		v, err := diffusion.EstimateBenefitCtx(context.Background(), g, part, seeds, diffusion.MCOptions{Iterations: 200, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +377,7 @@ func TestSolveCheckpointResume(t *testing.T) {
 	var ckpts []savedCheckpoint
 	withCp := opts
 	withCp.Checkpoint = captureCheckpoints(t, &ckpts)
-	baseline, err := Solve(g, part, maxr.UBG{}, withCp)
+	baseline, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, withCp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestSolveCheckpointResume(t *testing.T) {
 	}
 
 	// The checkpoint callback must not perturb the solve at all.
-	plain, err := Solve(g, part, maxr.UBG{}, opts)
+	plain, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestSolveCheckpointResume(t *testing.T) {
 		}
 		resumed := opts
 		resumed.Resume = &Checkpoint{Pool: pool, Doublings: ck.doublings}
-		sol, err := Solve(g, part, maxr.UBG{}, resumed)
+		sol, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, resumed)
 		if err != nil {
 			t.Fatalf("resume from round %d: %v", ck.doublings, err)
 		}
@@ -438,7 +439,7 @@ func TestSolveResumeValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.Generate(64); err != nil {
+		if err := pool.GenerateCtx(context.Background(), 64); err != nil {
 			t.Fatal(err)
 		}
 		return pool
@@ -464,7 +465,7 @@ func TestSolveResumeValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := opts
 			o.Resume = tc.resume
-			_, err := Solve(g, part, maxr.UBG{}, o)
+			_, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, o)
 			if err == nil {
 				t.Fatal("invalid resume accepted")
 			}
@@ -477,7 +478,7 @@ func TestSolveResumeValidation(t *testing.T) {
 	// Checkpoint failures surface instead of silently losing durability.
 	o := opts
 	o.Checkpoint = func(Checkpoint) error { return fmt.Errorf("disk full") }
-	if _, err := Solve(g, part, maxr.UBG{}, o); err == nil || !strings.Contains(err.Error(), "disk full") {
+	if _, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, o); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("checkpoint error not surfaced: %v", err)
 	}
 }

@@ -65,15 +65,12 @@ type EstimateOptions struct {
 	Workers int
 }
 
-// Estimate implements the paper's Alg. 6: draw fresh RIC samples until
-// the influenced mass reaches the stopping-rule threshold, returning an
-// estimate of c(S) with relative error ≤ ε′ with probability ≥ 1−δ′.
-func Estimate(g *graph.Graph, part *community.Partition, seeds []graph.NodeID, opts EstimateOptions) (EstimateResult, error) {
-	return EstimateCtx(context.Background(), g, part, seeds, opts)
-}
-
-// EstimateCtx is Estimate run in parallel with cooperative
-// cancellation. Draws are evaluated in rounds: worker w of a round
+// EstimateCtx implements the paper's Alg. 6: draw fresh RIC samples
+// until the influenced mass reaches the stopping-rule threshold,
+// returning an estimate of c(S) with relative error ≤ ε′ with
+// probability ≥ 1−δ′.
+//
+// Draws are evaluated in parallel rounds: worker w of a round
 // evaluates the fixed range of estimateBatch draws starting at
 // base+w·estimateBatch+1 on its own generator, draw t reseeded from
 // PRNG stream t, and the caller then folds the round's outcomes in t
@@ -81,7 +78,7 @@ func Estimate(g *graph.Graph, part *community.Partition, seeds []graph.NodeID, o
 // additions therefore happen in exactly the serial order, so Benefit,
 // Samples and Converged are bit-identical for every Workers value,
 // fractional mode included. ctx is polled before each round (never per
-// sample); a completed run is byte-identical to the ctx-free path.
+// sample), so a completed run is byte-identical under any ctx.
 //
 //imc:longrun
 func EstimateCtx(ctx context.Context, g *graph.Graph, part *community.Partition, seeds []graph.NodeID, opts EstimateOptions) (EstimateResult, error) {

@@ -85,7 +85,7 @@ func TestEstimateWorkerIndependence(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
 				opts.Workers = workers
-				got, err := Estimate(g, part, c.seeds, opts)
+				got, err := EstimateCtx(context.Background(), g, part, c.seeds, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -70,7 +70,7 @@ type Options struct {
 	MaxSamples int
 	// NuGuided switches to the paper's UBG integration (§V-B end):
 	// stop-and-stare against the submodular ν objective with
-	// maxr.GreedyNu as the selector, yielding the
+	// maxr.GreedyNuCtx as the selector, yielding the
 	// (c(S_ν)/ν(S_ν))·(1−1/e−ε) guarantee. Solver is ignored when set.
 	NuGuided bool
 	// Logger, when non-nil, receives per-round progress (pool size,
@@ -181,20 +181,16 @@ type Solution struct {
 	SandwichRatio float64
 }
 
-// Solve runs the IMC Algorithmic Framework (paper Alg. 5) with the
+// SolveCtx runs the IMC Algorithmic Framework (paper Alg. 5) with the
 // given MAXR solver: generate Λ RIC samples, repeatedly solve MAXR and
 // verify the candidate with the Estimate procedure, doubling the pool
 // until a statistical certificate or the Ψ bound is reached.
-func Solve(g *graph.Graph, part *community.Partition, solver maxr.Solver, opts Options) (Solution, error) {
-	return SolveCtx(context.Background(), g, part, solver, opts)
-}
-
-// SolveCtx is Solve with cooperative cancellation: the stop-and-stare
-// loop checks ctx between doubling rounds and threads it into sample
-// generation, the MAXR solver (when it implements maxr.CtxSolver), and
-// the Estimate verification batches. A run that completes returns
-// byte-identical seeds with or without a context — the checks never
-// touch the PRNG streams — while a cancelled run returns the ctx error
+//
+// The stop-and-stare loop checks ctx between doubling rounds and
+// threads it into sample generation, the MAXR solver and the Estimate
+// verification batches. A run that completes returns byte-identical
+// seeds under any ctx — the checks never touch the PRNG streams —
+// while a cancelled run returns the ctx error
 // promptly (within one worker batch: ~1k samples while generating, one
 // Estimate round of Workers·128 draws while verifying).
 //
@@ -401,15 +397,10 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// SolveFixed runs a MAXR solver against a fixed-size pool, skipping the
-// adaptive stop machinery. Benchmarks and examples that want direct
-// control over sampling effort use this entry point.
-func SolveFixed(g *graph.Graph, part *community.Partition, solver maxr.Solver, k, numSamples int, opts Options) (Solution, error) {
-	return SolveFixedCtx(context.Background(), g, part, solver, k, numSamples, opts)
-}
-
-// SolveFixedCtx is SolveFixed with cooperative cancellation threaded
-// into sample generation and the solver.
+// SolveFixedCtx runs a MAXR solver against a fixed-size pool, skipping
+// the adaptive stop machinery, with ctx threaded into sample generation
+// and the solver. Benchmarks and examples that want direct control over
+// sampling effort use this entry point.
 //
 //imc:longrun
 func SolveFixedCtx(ctx context.Context, g *graph.Graph, part *community.Partition, solver maxr.Solver, k, numSamples int, opts Options) (Solution, error) {
@@ -455,8 +446,7 @@ func SolveFixedCtx(ctx context.Context, g *graph.Graph, part *community.Partitio
 }
 
 // runSolver executes the configured selection step: the MAXR solver, or
-// greedy-on-ν when NuGuided. The ctx reaches solvers that implement
-// maxr.CtxSolver; plain solvers get one up-front cancellation check.
+// greedy-on-ν when NuGuided.
 func runSolver(ctx context.Context, pool *ric.Pool, solver maxr.Solver, opts Options) (seeds []graph.NodeID, chat, ratio float64, err error) {
 	if opts.NuGuided {
 		seeds, err = maxr.GreedyNuCtx(ctx, pool, opts.K)
@@ -466,7 +456,7 @@ func runSolver(ctx context.Context, pool *ric.Pool, solver maxr.Solver, opts Opt
 		chat = pool.CHat(seeds)
 	} else {
 		var res maxr.Result
-		res, err = maxr.SolveWithContext(ctx, solver, pool, opts.K)
+		res, err = solver.SolveCtx(ctx, pool, opts.K)
 		if err != nil {
 			return nil, 0, 0, err
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestEstimatePinned(t *testing.T) {
 	}
 	for _, pin := range pins {
 		for _, workers := range []int{1, 2, 5} {
-			est, err := core.Estimate(inst.G, inst.Part, seeds, core.EstimateOptions{
+			est, err := core.EstimateCtx(context.Background(), inst.G, inst.Part, seeds, core.EstimateOptions{
 				Eps: 0.1, Delta: 0.05, TMax: pin.tmax, Seed: 99,
 				Fractional: pin.fractional, Workers: workers,
 			})

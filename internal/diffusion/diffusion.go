@@ -300,14 +300,9 @@ func (o MCOptions) normalized() (MCOptions, error) {
 	return o, nil
 }
 
-// EstimateSpread Monte-Carlo-estimates the expected number of activated
-// nodes for the seed set.
-func EstimateSpread(g *graph.Graph, seeds []graph.NodeID, opts MCOptions) (float64, error) {
-	return EstimateSpreadCtx(context.Background(), g, seeds, opts)
-}
-
-// EstimateSpreadCtx is EstimateSpread with cooperative cancellation:
-// workers poll ctx between iteration batches.
+// EstimateSpreadCtx Monte-Carlo-estimates the expected number of
+// activated nodes for the seed set. Workers poll ctx between iteration
+// batches.
 //
 //imc:longrun
 func EstimateSpreadCtx(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, opts MCOptions) (float64, error) {
@@ -316,14 +311,9 @@ func EstimateSpreadCtx(ctx context.Context, g *graph.Graph, seeds []graph.NodeID
 	})
 }
 
-// EstimateBenefit Monte-Carlo-estimates c(S): the expected benefit of
-// influenced communities.
-func EstimateBenefit(g *graph.Graph, p *community.Partition, seeds []graph.NodeID, opts MCOptions) (float64, error) {
-	return EstimateBenefitCtx(context.Background(), g, p, seeds, opts)
-}
-
-// EstimateBenefitCtx is EstimateBenefit with cooperative cancellation:
-// workers poll ctx between iteration batches.
+// EstimateBenefitCtx Monte-Carlo-estimates c(S): the expected benefit
+// of influenced communities. Workers poll ctx between iteration
+// batches.
 //
 //imc:longrun
 func EstimateBenefitCtx(ctx context.Context, g *graph.Graph, p *community.Partition, seeds []graph.NodeID, opts MCOptions) (float64, error) {
@@ -332,13 +322,8 @@ func EstimateBenefitCtx(ctx context.Context, g *graph.Graph, p *community.Partit
 	})
 }
 
-// EstimateFractionalBenefit Monte-Carlo-estimates ν(S) (eq. 6).
-func EstimateFractionalBenefit(g *graph.Graph, p *community.Partition, seeds []graph.NodeID, opts MCOptions) (float64, error) {
-	return EstimateFractionalBenefitCtx(context.Background(), g, p, seeds, opts)
-}
-
-// EstimateFractionalBenefitCtx is EstimateFractionalBenefit with
-// cooperative cancellation: workers poll ctx between iteration batches.
+// EstimateFractionalBenefitCtx Monte-Carlo-estimates ν(S) (eq. 6).
+// Workers poll ctx between iteration batches.
 //
 //imc:longrun
 func EstimateFractionalBenefitCtx(ctx context.Context, g *graph.Graph, p *community.Partition, seeds []graph.NodeID, opts MCOptions) (float64, error) {
@@ -350,7 +335,7 @@ func EstimateFractionalBenefitCtx(ctx context.Context, g *graph.Graph, p *commun
 // mcAverageCtx fans iterations out over a bounded worker pool. Stream i
 // of the seed RNG drives iteration i, so results are independent of
 // scheduling; the ctx polls never touch the PRNG, so a completed run is
-// byte-identical with or without a live context. On cancellation the
+// byte-identical under any ctx. On cancellation the
 // partial sums are discarded and the ctx error returned.
 //
 //imc:longrun
@@ -429,20 +414,16 @@ type StoppingRuleResult struct {
 	Converged bool
 }
 
-// StoppingRule estimates the mean of a [0, 1]-valued random variable to
-// within relative error eps with probability ≥ 1−delta using the
-// Stopping Rule Algorithm of Dagum, Karp, Luby and Ross (SIAM J.
-// Comput. 2000, §2.1) — the engine of the paper's Estimate procedure
+// StoppingRuleCtx estimates the mean of a [0, 1]-valued random
+// variable to within relative error eps with probability ≥ 1−delta
+// using the Stopping Rule Algorithm of Dagum, Karp, Luby and Ross (SIAM
+// J. Comput. 2000, §2.1) — the engine of the paper's Estimate procedure
 // (Alg. 6). sample must return draws in [0, 1].
-func StoppingRule(sample func(*xrand.RNG) float64, eps, delta float64, maxSamples int, rng *xrand.RNG) (StoppingRuleResult, error) {
-	return StoppingRuleCtx(context.Background(), sample, eps, delta, maxSamples, rng)
-}
-
-// StoppingRuleCtx is StoppingRule with cooperative cancellation: the
-// draw loop polls ctx every ctxPollBatch samples (never per draw, so
-// the hot path stays allocation-free), returning the ctx error with a
-// zero result on cancellation. A completed run is byte-identical to
-// StoppingRule: the poll never touches the PRNG stream.
+//
+// The draw loop polls ctx every ctxPollBatch samples (never per draw,
+// so the hot path stays allocation-free), returning the ctx error with
+// a zero result on cancellation. A completed run is byte-identical
+// under any ctx: the poll never touches the PRNG stream.
 //
 //imc:hotpath
 //imc:longrun

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestICSpreadMatchesClosedForm(t *testing.T) {
 	// On a 2-node path with weight p, E[spread({0})] = 1 + p.
 	const p = 0.35
 	g := pathGraph(t, 2, p)
-	got, err := EstimateSpread(g, []graph.NodeID{0}, MCOptions{Iterations: 200000, Seed: 3})
+	got, err := EstimateSpreadCtx(context.Background(), g, []graph.NodeID{0}, MCOptions{Iterations: 200000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestLTSpreadBetweenICBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EstimateSpread(g, []graph.NodeID{0, 1}, MCOptions{Iterations: 2000, Seed: 11, Model: LT})
+	got, err := EstimateSpreadCtx(context.Background(), g, []graph.NodeID{0, 1}, MCOptions{Iterations: 2000, Seed: 11, Model: LT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestEstimateBenefitSeededCommunity(t *testing.T) {
 	}
 	part.SetBoundedThresholds(2)
 	part.SetPopulationBenefits()
-	got, err := EstimateBenefit(g, part, []graph.NodeID{0, 1}, MCOptions{Iterations: 100, Seed: 1})
+	got, err := EstimateBenefitCtx(context.Background(), g, part, []graph.NodeID{0, 1}, MCOptions{Iterations: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestEstimateBenefitSeededCommunity(t *testing.T) {
 
 func TestMCOptionsValidation(t *testing.T) {
 	g := pathGraph(t, 3, 1)
-	if _, err := EstimateSpread(g, []graph.NodeID{0}, MCOptions{Iterations: 0}); err == nil {
+	if _, err := EstimateSpreadCtx(context.Background(), g, []graph.NodeID{0}, MCOptions{Iterations: 0}); err == nil {
 		t.Fatal("want iterations error")
 	}
 }
@@ -141,11 +142,11 @@ func TestMCDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := EstimateSpread(g, []graph.NodeID{0, 5}, MCOptions{Iterations: 999, Seed: 4, Workers: 1})
+	a, err := EstimateSpreadCtx(context.Background(), g, []graph.NodeID{0, 5}, MCOptions{Iterations: 999, Seed: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateSpread(g, []graph.NodeID{0, 5}, MCOptions{Iterations: 999, Seed: 4, Workers: 7})
+	b, err := EstimateSpreadCtx(context.Background(), g, []graph.NodeID{0, 5}, MCOptions{Iterations: 999, Seed: 4, Workers: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestMCDeterministicAcrossWorkers(t *testing.T) {
 
 func TestStoppingRuleEstimatesBernoulli(t *testing.T) {
 	const p = 0.3
-	res, err := StoppingRule(func(r *xrand.RNG) float64 {
+	res, err := StoppingRuleCtx(context.Background(), func(r *xrand.RNG) float64 {
 		if r.Bernoulli(p) {
 			return 1
 		}
@@ -174,7 +175,7 @@ func TestStoppingRuleEstimatesBernoulli(t *testing.T) {
 }
 
 func TestStoppingRuleHitsCap(t *testing.T) {
-	res, err := StoppingRule(func(*xrand.RNG) float64 { return 0 }, 0.2, 0.2, 100, xrand.New(1))
+	res, err := StoppingRuleCtx(context.Background(), func(*xrand.RNG) float64 { return 0 }, 0.2, 0.2, 100, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +189,13 @@ func TestStoppingRuleHitsCap(t *testing.T) {
 
 func TestStoppingRuleValidation(t *testing.T) {
 	sample := func(*xrand.RNG) float64 { return 1 }
-	if _, err := StoppingRule(sample, 0, 0.1, 10, xrand.New(1)); err == nil {
+	if _, err := StoppingRuleCtx(context.Background(), sample, 0, 0.1, 10, xrand.New(1)); err == nil {
 		t.Fatal("want eps error")
 	}
-	if _, err := StoppingRule(sample, 0.1, 1.5, 10, xrand.New(1)); err == nil {
+	if _, err := StoppingRuleCtx(context.Background(), sample, 0.1, 1.5, 10, xrand.New(1)); err == nil {
 		t.Fatal("want delta error")
 	}
-	if _, err := StoppingRule(sample, 0.1, 0.1, 0, xrand.New(1)); err == nil {
+	if _, err := StoppingRuleCtx(context.Background(), sample, 0.1, 0.1, 0, xrand.New(1)); err == nil {
 		t.Fatal("want maxSamples error")
 	}
 }

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -137,7 +138,7 @@ func runCell(ck *Checkpoint, inst *Instance, alg string, k int, run RunConfig, p
 	if row, ok := ck.lookup(panel, x, alg); ok {
 		return row, nil
 	}
-	res, err := RunAlg(inst, alg, k, run)
+	res, err := RunAlgCtx(context.Background(), inst, alg, k, run)
 	if err != nil {
 		return Row{}, err
 	}

@@ -3,8 +3,11 @@ package expt
 import (
 	"context"
 	"errors"
-	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"imc/internal/graph"
 )
 
 func ctxTestInstance(t *testing.T) *Instance {
@@ -31,25 +34,39 @@ func TestRunAlgCtxCanceled(t *testing.T) {
 }
 
 // TestRunAlgCtxDeterminism asserts the tentpole contract at the top of
-// the stack: a completed ctx-run selects byte-identical seeds and
-// scores to the ctx-free run for every algorithm.
+// the stack: a completed run selects byte-identical seeds and scores
+// whether its ctx can never fire (Background) or is live but never
+// cancelled (so every poll selects on a non-nil Done()), and both equal
+// pinned seeds and benefit bits, so any change to an answer fails here.
 func TestRunAlgCtxDeterminism(t *testing.T) {
 	inst := ctxTestInstance(t)
 	cfg := RunConfig{Seed: 3, Runs: 1, MaxSamples: 1 << 11, EvalTMax: 1 << 11, BTMaxRoots: 8}
-	for _, alg := range []string{AlgUBG, AlgMAF, AlgMB, AlgHBC, AlgKS, AlgIM} {
-		plain, err := RunAlg(inst, alg, 4, cfg)
-		if err != nil {
-			t.Fatalf("%s plain: %v", alg, err)
-		}
-		withCtx, err := RunAlgCtx(context.Background(), inst, alg, 4, cfg)
-		if err != nil {
-			t.Fatalf("%s ctx: %v", alg, err)
-		}
-		if fmt.Sprint(plain.Seeds) != fmt.Sprint(withCtx.Seeds) {
-			t.Errorf("%s: seeds diverge: %v vs %v", alg, plain.Seeds, withCtx.Seeds)
-		}
-		if plain.Benefit != withCtx.Benefit {
-			t.Errorf("%s: benefit diverges: %v vs %v", alg, plain.Benefit, withCtx.Benefit)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, want := range []struct {
+		alg     string
+		seeds   []graph.NodeID
+		benefit uint64 // math.Float64bits
+	}{
+		{AlgUBG, []graph.NodeID{6, 1, 12, 4}, 0x403469264fd802bb},
+		{AlgMAF, []graph.NodeID{17, 0, 8, 12}, 0x403450f58abbc059},
+		{AlgMB, []graph.NodeID{14, 0, 10, 13}, 0x403469264fd802bb},
+		{AlgHBC, []graph.NodeID{0, 6, 14, 17}, 0x40327032be7276a2},
+		{AlgKS, []graph.NodeID{1, 4, 0, 6}, 0x40339735ea599e0d},
+		{AlgIM, []graph.NodeID{4, 6, 13, 10}, 0x4033c46486fbddbe},
+	} {
+		for name, ctx := range map[string]context.Context{"background": context.Background(), "live": live} {
+			got, err := RunAlgCtx(ctx, inst, want.alg, 4, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", want.alg, name, err)
+			}
+			if !slices.Equal(got.Seeds, want.seeds) {
+				t.Errorf("%s %s: seeds %v, want %v", want.alg, name, got.Seeds, want.seeds)
+			}
+			if bits := math.Float64bits(got.Benefit); bits != want.benefit {
+				t.Errorf("%s %s: benefit %v (%#016x), want %v (%#016x)",
+					want.alg, name, got.Benefit, bits, math.Float64frombits(want.benefit), want.benefit)
+			}
 		}
 	}
 }

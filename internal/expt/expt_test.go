@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestRunAlgAllAlgorithms(t *testing.T) {
 	}
 	cfg := tinyCfg().Run
 	for _, alg := range AllAlgorithms {
-		res, err := RunAlg(inst, alg, 4, cfg)
+		res, err := RunAlgCtx(context.Background(), inst, alg, 4, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -109,12 +110,12 @@ func TestRunAlgAllAlgorithms(t *testing.T) {
 			t.Fatalf("%s benefit %g out of range", alg, res.Benefit)
 		}
 	}
-	if _, err := RunAlg(inst, "nope", 4, cfg); err == nil {
+	if _, err := RunAlgCtx(context.Background(), inst, "nope", 4, cfg); err == nil {
 		t.Fatal("want unknown-algorithm error")
 	}
 	// Extension algorithms beyond the paper's legend.
 	for _, alg := range []string{AlgUBGLS, AlgDD} {
-		res, err := RunAlg(inst, alg, 4, cfg)
+		res, err := RunAlgCtx(context.Background(), inst, alg, 4, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -131,7 +132,7 @@ func TestRunAlgAveragesRuns(t *testing.T) {
 	}
 	cfg := tinyCfg().Run
 	cfg.Runs = 3
-	res, err := RunAlg(inst, AlgMAF, 4, cfg)
+	res, err := RunAlgCtx(context.Background(), inst, AlgMAF, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestRunAlgLTModel(t *testing.T) {
 	cfg := tinyCfg().Run
 	cfg.Model = diffusion.LT
 	for _, alg := range []string{AlgUBG, AlgMAF, AlgIM} {
-		res, err := RunAlg(inst, alg, 4, cfg)
+		res, err := RunAlgCtx(context.Background(), inst, alg, 4, cfg)
 		if err != nil {
 			t.Fatalf("LT %s: %v", alg, err)
 		}

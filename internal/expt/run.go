@@ -15,7 +15,7 @@ import (
 	"imc/internal/stats"
 )
 
-// Algorithm names accepted by RunAlg, matching the paper's legends.
+// Algorithm names accepted by RunAlgCtx, matching the paper's legends.
 // AlgUBGLS is the extension variant: UBG followed by 1-swap local
 // search (not in the paper; exposed for ablations).
 const (
@@ -115,18 +115,15 @@ type AlgResult struct {
 	Seeds []graph.NodeID
 }
 
-// RunAlg executes one algorithm on an instance with budget k, averaging
-// over cfg.Runs repetitions. Selection time is measured; seed quality
-// is then scored with the same Dagum estimator for every algorithm so
-// comparisons are apples-to-apples.
-func RunAlg(inst *Instance, alg string, k int, cfg RunConfig) (AlgResult, error) {
-	return RunAlgCtx(context.Background(), inst, alg, k, cfg)
-}
-
-// RunAlgCtx is RunAlg with cooperative cancellation: ctx is checked
-// between repetitions and threaded through seed selection and benefit
-// evaluation, so a cancelled run surfaces context.Canceled (wrapped,
-// errors.Is-matchable) within one kernel batch.
+// RunAlgCtx executes one algorithm on an instance with budget k,
+// averaging over cfg.Runs repetitions. Selection time is measured; seed
+// quality is then scored with the same Dagum estimator for every
+// algorithm so comparisons are apples-to-apples.
+//
+// ctx is checked between repetitions and threaded through seed
+// selection and benefit evaluation, so a cancelled run surfaces
+// context.Canceled (wrapped, errors.Is-matchable) within one kernel
+// batch.
 //
 //imc:longrun
 func RunAlgCtx(ctx context.Context, inst *Instance, alg string, k int, cfg RunConfig) (AlgResult, error) {

@@ -2,6 +2,7 @@ package job
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -40,7 +41,7 @@ func testPool(t *testing.T, seed uint64, samples int) *ric.Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(samples); err != nil {
+	if err := pool.GenerateCtx(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	return pool

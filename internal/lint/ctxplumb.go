@@ -12,9 +12,9 @@ import (
 // another longrun function in the same package it must forward that
 // context rather than minting a fresh context.Background()/TODO() —
 // doing so silently severs the cancellation chain, which is exactly the
-// bug class the ctx plumbing exists to prevent. Delegation shims that
-// are NOT annotated (Generate calling GenerateCtx with Background) stay
-// legal: the contract binds only annotated functions.
+// bug class the ctx plumbing exists to prevent. Unannotated callers
+// with no ctx of their own (a CLI main passing context.Background())
+// stay legal: the contract binds only annotated functions.
 var CtxPlumb = &Analyzer{
 	Name: "ctxplumb",
 	Doc:  "//imc:longrun functions must take ctx first and forward it to longrun callees",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -340,6 +341,53 @@ func TestAPISurfaceMissingSection(t *testing.T) {
 		t.Errorf("missing-section findings incomplete (noSection=%v vanished=%v): %v",
 			noSection, vanished, diags)
 	}
+}
+
+// TestAPISnapshotHasNoCtxTwins keeps each operation to one entry
+// point: the committed snapshot may not export both X and XCtx from one
+// package, nor both M and MCtx on one receiver (pointer or value). A
+// caller with no ctx passes context.Background(); a ctx-free wrapper is
+// a second API for the same job.
+func TestAPISnapshotHasNoCtxTwins(t *testing.T) {
+	snap, err := parseAPISnapshot(filepath.Join("testdata", "api.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twins := ctxTwins(snap); len(twins) > 0 {
+		t.Errorf("api.snap exports ctx-free twins; keep only the …Ctx form:\n%s", strings.Join(twins, "\n"))
+	}
+	// The detector itself: both twin shapes are caught, lone …Ctx names
+	// and look-alikes in other sections or on other receivers are not.
+	planted := map[string]map[string]string{
+		"internal/a": {"func Run": "", "func RunCtx": "", "func SolveCtx": "", "type Ctx": ""},
+		"internal/b": {"method (Pool).Grow": "", "method (*Pool).GrowCtx": "", "method (*Other).SolveCtx": "", "func Solve": ""},
+		"internal/c": {"method (T).Solve": "", "method (U).SolveCtx": "", "func Run": ""},
+	}
+	want := []string{"internal/a: func Run / func RunCtx", "internal/b: method (Pool).Grow / method (Pool).GrowCtx"}
+	if got := ctxTwins(planted); !slices.Equal(got, want) {
+		t.Errorf("ctxTwins(planted) = %q, want %q", got, want)
+	}
+}
+
+// ctxTwins lists, sorted, every X/XCtx function pair and M/MCtx method
+// pair (receivers compared without their *) within one snapshot section.
+func ctxTwins(snap map[string]map[string]string) []string {
+	var out []string
+	for section, entries := range snap {
+		names := make(map[string]bool, len(entries))
+		for key := range entries {
+			if strings.HasPrefix(key, "func ") || strings.HasPrefix(key, "method ") {
+				names[strings.Replace(key, "(*", "(", 1)] = true
+			}
+		}
+		for name := range names {
+			if base, ok := strings.CutSuffix(name, "Ctx"); ok && names[base] {
+				out = append(out, fmt.Sprintf("%s: %s / %s", section, base, name))
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestExhaustiveCrossPackage: a switch over another package's enum

@@ -1,6 +1,7 @@
 package maxr
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -31,7 +32,7 @@ func benchPool(b *testing.B, samples int) *ric.Pool {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pool.Generate(samples); err != nil {
+	if err := pool.GenerateCtx(context.Background(), samples); err != nil {
 		b.Fatal(err)
 	}
 	return pool
@@ -42,7 +43,7 @@ func BenchmarkUBG(b *testing.B) {
 	pool := benchPool(b, 3000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (UBG{}).Solve(pool, 10); err != nil {
+		if _, err := (UBG{}).SolveCtx(context.Background(), pool, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +56,7 @@ func BenchmarkMAF(b *testing.B) {
 	solver := MAF{Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Solve(pool, 10); err != nil {
+		if _, err := solver.SolveCtx(context.Background(), pool, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +68,7 @@ func BenchmarkBT(b *testing.B) {
 	solver := BT{MaxRoots: 32}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Solve(pool, 10); err != nil {
+		if _, err := solver.SolveCtx(context.Background(), pool, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +80,7 @@ func BenchmarkGreedyNuByK(b *testing.B) {
 	for _, k := range []int{5, 20, 50} {
 		b.Run(benchName("k", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := GreedyNu(pool, k); err != nil {
+				if _, err := GreedyNuCtx(context.Background(), pool, k); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,7 +95,7 @@ func BenchmarkGreedyCHatByK(b *testing.B) {
 	for _, k := range []int{5, 20, 50} {
 		b.Run(benchName("k", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := GreedyCHat(pool, k); err != nil {
+				if _, err := GreedyCHatCtx(context.Background(), pool, k); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,7 +32,7 @@ type BT struct {
 	Workers int
 }
 
-var _ CtxSolver = BT{}
+var _ Solver = BT{}
 
 // Name implements Solver.
 func (b BT) Name() string { return "BT" }
@@ -50,16 +50,11 @@ func (b BT) depth() int {
 	return b.Depth
 }
 
-// Solve implements Solver.
-func (b BT) Solve(pool *ric.Pool, k int) (Result, error) {
-	return b.SolveCtx(context.Background(), pool, k)
-}
-
-// SolveCtx implements CtxSolver: every worker polls ctx once per root
+// SolveCtx implements Solver: every worker polls ctx once per root
 // subproblem (each root is an independent, typically sizable instance),
 // and the recursion checks ctx at each level's root scan. A completed
-// run is byte-identical to Solve — workers always fill the same
-// per-root result slots, so the poll never perturbs tie-breaking.
+// run is byte-identical at any worker count — workers always fill the
+// same per-root result slots, so the poll never perturbs tie-breaking.
 //
 //imc:longrun
 func (b BT) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error) {
@@ -326,7 +321,7 @@ func (inst *btInstance) greedy(k int) []graph.NodeID {
 			}
 			// nodes are sorted by entry count and gain ≤ entry count,
 			// so once the bound drops below the incumbent the scan can
-			// stop (exact prune, mirroring GreedyCHat).
+			// stop (exact prune, mirroring GreedyCHatCtx).
 			if len(inst.entries[v]) < bestGain {
 				break
 			}

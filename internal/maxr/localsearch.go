@@ -69,7 +69,7 @@ type Refined struct {
 	MaxRounds int
 }
 
-var _ CtxSolver = Refined{}
+var _ Solver = Refined{}
 
 // Name implements Solver.
 func (r Refined) Name() string { return r.Base.Name() + "+LS" }
@@ -80,18 +80,13 @@ func (r Refined) Guarantee(pool *ric.Pool, k int) float64 {
 	return r.Base.Guarantee(pool, k)
 }
 
-// Solve implements Solver.
-func (r Refined) Solve(pool *ric.Pool, k int) (Result, error) {
-	return r.SolveCtx(context.Background(), pool, k)
-}
-
-// SolveCtx implements CtxSolver: the base solve is ctx-aware (via
-// SolveWithContext) and the hill climb is gated by one poll per outer
-// pass boundary — the refinement never runs on a cancelled ctx.
+// SolveCtx implements Solver: ctx reaches the base solve, and the hill
+// climb is gated by one poll per outer pass boundary — the refinement
+// never runs on a cancelled ctx.
 //
 //imc:longrun
 func (r Refined) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error) {
-	res, err := SolveWithContext(ctx, r.Base, pool, k)
+	res, err := r.Base.SolveCtx(ctx, pool, k)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,6 +1,7 @@
 package maxr
 
 import (
+	"context"
 	"testing"
 
 	"imc/internal/graph"
@@ -9,7 +10,7 @@ import (
 func TestLocalSearchNeverRegresses(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		pool := randomPool(t, 300+seed)
-		res, err := MAF{}.Solve(pool, 4)
+		res, err := MAF{}.SolveCtx(context.Background(), pool, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestLocalSearchEmptyInput(t *testing.T) {
 
 func TestRefinedSolverWrapper(t *testing.T) {
 	pool := randomPool(t, 404)
-	base, err := MAF{}.Solve(pool, 4)
+	base, err := MAF{}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestRefinedSolverWrapper(t *testing.T) {
 	if wrapped.Name() != "MAF+LS" {
 		t.Fatalf("name %q", wrapped.Name())
 	}
-	res, err := wrapped.Solve(pool, 4)
+	res, err := wrapped.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ type MAF struct {
 	SmartMembers bool
 }
 
-var _ CtxSolver = MAF{}
+var _ Solver = MAF{}
 
 // Name implements Solver.
 func (MAF) Name() string { return "MAF" }
@@ -40,12 +40,7 @@ func (MAF) Guarantee(pool *ric.Pool, k int) float64 {
 	return float64(k/h) / float64(r)
 }
 
-// Solve implements Solver.
-func (m MAF) Solve(pool *ric.Pool, k int) (Result, error) {
-	return m.SolveCtx(context.Background(), pool, k)
-}
-
-// SolveCtx implements CtxSolver. MAF's two candidate builds are cheap
+// SolveCtx implements Solver. MAF's two candidate builds are cheap
 // (sort-dominated), so one poll before each suffices.
 //
 //imc:longrun

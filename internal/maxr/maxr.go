@@ -36,7 +36,7 @@ var ErrEmptyPool = errors.New("maxr: pool has no samples")
 // pops, BT roots) a solver loop runs between cooperative ctx.Err()
 // polls. Batch-boundary polling keeps the check off the hot path and —
 // because it never touches solver state — leaves completed runs
-// byte-identical to the ctx-free path.
+// byte-identical to an uncancellable run.
 const ctxPollBatch = 1024
 
 // Result is a solved MAXR instance.
@@ -56,34 +56,19 @@ type Solver interface {
 	// Guarantee returns the paper's approximation ratio α for this
 	// solver on this instance (used by the IMCAF sample bound Ψ).
 	Guarantee(pool *ric.Pool, k int) float64
-	// Solve picks up to k seeds maximizing influenced samples.
-	Solve(pool *ric.Pool, k int) (Result, error)
-}
-
-// CtxSolver is a Solver whose selection loop supports cooperative
-// cancellation. All solvers in this package implement it; the interface
-// exists so SolveWithContext can degrade gracefully for third-party
-// Solver implementations.
-type CtxSolver interface {
-	Solver
-	// SolveCtx is Solve with ctx polled at batch boundaries. A completed
-	// call returns exactly what Solve would.
+	// SolveCtx picks up to k seeds maximizing influenced samples,
+	// polling ctx at batch boundaries. A completed call's result does
+	// not depend on ctx.
 	SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error)
 }
 
-// SolveWithContext dispatches to s.SolveCtx when the solver supports
-// cancellation, and otherwise performs one up-front ctx check before the
-// uninterruptible s.Solve.
+// SolveWithContext returns s.SolveCtx(ctx, pool, k).
+//
+// Deprecated: call s.SolveCtx directly.
 //
 //imc:longrun
 func SolveWithContext(ctx context.Context, s Solver, pool *ric.Pool, k int) (Result, error) {
-	if cs, ok := s.(CtxSolver); ok {
-		return cs.SolveCtx(ctx, pool, k)
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	return s.Solve(pool, k)
+	return s.SolveCtx(ctx, pool, k)
 }
 
 func validate(pool *ric.Pool, k int) error {

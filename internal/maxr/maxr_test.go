@@ -1,6 +1,7 @@
 package maxr
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -44,7 +45,7 @@ func pairPool(t *testing.T, count int) *ric.Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(count); err != nil {
+	if err := pool.GenerateCtx(context.Background(), count); err != nil {
 		t.Fatal(err)
 	}
 	return pool
@@ -66,7 +67,7 @@ func randomPool(t *testing.T, seed uint64) *ric.Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(800); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 800); err != nil {
 		t.Fatal(err)
 	}
 	return pool
@@ -95,7 +96,7 @@ func TestAllSolversFindTheRichPair(t *testing.T) {
 	pool := pairPool(t, 2000)
 	solvers := []Solver{UBG{}, MAF{}, BT{}, MB{}}
 	for _, s := range solvers {
-		res, err := s.Solve(pool, 2)
+		res, err := s.SolveCtx(context.Background(), pool, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -114,7 +115,7 @@ func TestAllSolversFindTheRichPair(t *testing.T) {
 func TestBudgetFourTakesBothCommunities(t *testing.T) {
 	pool := pairPool(t, 2000)
 	for _, s := range []Solver{UBG{}, BT{}, MB{}} {
-		res, err := s.Solve(pool, 4)
+		res, err := s.SolveCtx(context.Background(), pool, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -127,15 +128,15 @@ func TestBudgetFourTakesBothCommunities(t *testing.T) {
 func TestUBGDominatesItsComponents(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		pool := randomPool(t, seed*10+1)
-		ubg, err := UBG{}.Solve(pool, 4)
+		ubg, err := UBG{}.SolveCtx(context.Background(), pool, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sNu, err := GreedyNu(pool, 4)
+		sNu, err := GreedyNuCtx(context.Background(), pool, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sC, err := GreedyCHat(pool, 4)
+		sC, err := GreedyCHatCtx(context.Background(), pool, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestUBGDominatesItsComponents(t *testing.T) {
 func TestMAFDominatesItsComponents(t *testing.T) {
 	pool := randomPool(t, 77)
 	m := MAF{Seed: 3}
-	full, err := m.Solve(pool, 4)
+	full, err := m.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,15 +168,15 @@ func TestMAFDominatesItsComponents(t *testing.T) {
 
 func TestMBDominatesMAFAndBT(t *testing.T) {
 	pool := randomPool(t, 55)
-	mb, err := MB{}.Solve(pool, 4)
+	mb, err := MB{}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maf, err := MAF{}.Solve(pool, 4)
+	maf, err := MAF{}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := BT{}.Solve(pool, 4)
+	bt, err := BT{}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestMBDominatesMAFAndBT(t *testing.T) {
 func TestSolversReturnFullBudgetDistinctSeeds(t *testing.T) {
 	pool := randomPool(t, 33)
 	for _, s := range []Solver{UBG{}, MAF{}, BT{}, MB{}} {
-		res, err := s.Solve(pool, 6)
+		res, err := s.SolveCtx(context.Background(), pool, 6)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -226,11 +227,11 @@ func TestMAFTheorem3Guarantee(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		pool := randomPool(t, 200+seed)
 		k := 4
-		maf, err := MAF{}.Solve(pool, k)
+		maf, err := MAF{}.SolveCtx(context.Background(), pool, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := UBG{}.Solve(pool, k)
+		ref, err := UBG{}.SolveCtx(context.Background(), pool, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,10 +257,10 @@ func TestBTDepth3OnBoundedThreeThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(300); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 300); err != nil {
 		t.Fatal(err)
 	}
-	res, err := BT{Depth: 3, MaxRoots: 10}.Solve(pool, 4)
+	res, err := BT{Depth: 3, MaxRoots: 10}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +274,11 @@ func TestBTDepth3OnBoundedThreeThresholds(t *testing.T) {
 
 func TestBTMaxRootsStillValid(t *testing.T) {
 	pool := randomPool(t, 44)
-	full, err := BT{}.Solve(pool, 3)
+	full, err := BT{}.SolveCtx(context.Background(), pool, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped, err := BT{MaxRoots: 2}.Solve(pool, 3)
+	capped, err := BT{MaxRoots: 2}.SolveCtx(context.Background(), pool, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestBTMaxRootsStillValid(t *testing.T) {
 
 func TestMAFSmartMembers(t *testing.T) {
 	pool := randomPool(t, 88)
-	smart, err := MAF{SmartMembers: true}.Solve(pool, 4)
+	smart, err := MAF{SmartMembers: true}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestMAFSmartMembers(t *testing.T) {
 		t.Fatalf("smart MAF seeds invalid: %v", smart.Seeds)
 	}
 	// Deterministic without a seed: no randomness left in S1.
-	again, err := MAF{SmartMembers: true}.Solve(pool, 4)
+	again, err := MAF{SmartMembers: true}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +313,11 @@ func TestMAFSmartMembers(t *testing.T) {
 
 func TestBTParallelRootsDeterministic(t *testing.T) {
 	pool := randomPool(t, 66)
-	serial, err := BT{Workers: 1}.Solve(pool, 4)
+	serial, err := BT{Workers: 1}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := BT{Workers: 4}.Solve(pool, 4)
+	parallel, err := BT{Workers: 4}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,13 +338,13 @@ func TestValidationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []Solver{UBG{}, MAF{}, BT{}, MB{}} {
-		if _, err := s.Solve(empty, 2); err == nil {
+		if _, err := s.SolveCtx(context.Background(), empty, 2); err == nil {
 			t.Fatalf("%s accepted empty pool", s.Name())
 		}
 	}
 	pool := pairPool(t, 10)
 	for _, s := range []Solver{UBG{}, MAF{}, BT{}, MB{}} {
-		if _, err := s.Solve(pool, 0); err == nil {
+		if _, err := s.SolveCtx(context.Background(), pool, 0); err == nil {
 			t.Fatalf("%s accepted k=0", s.Name())
 		}
 	}
@@ -352,11 +353,11 @@ func TestValidationErrors(t *testing.T) {
 func TestSolversDeterministic(t *testing.T) {
 	pool := randomPool(t, 91)
 	for _, s := range []Solver{UBG{}, MAF{Seed: 9}, BT{}, MB{MAF: MAF{Seed: 9}}} {
-		a, err := s.Solve(pool, 5)
+		a, err := s.SolveCtx(context.Background(), pool, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.Solve(pool, 5)
+		b, err := s.SolveCtx(context.Background(), pool, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +374,7 @@ func TestSolversDeterministic(t *testing.T) {
 
 func TestSandwichRatioBounds(t *testing.T) {
 	pool := randomPool(t, 17)
-	res, err := UBG{}.Solve(pool, 4)
+	res, err := UBG{}.SolveCtx(context.Background(), pool, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,10 +396,10 @@ func TestSandwichRatioBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p1.Generate(400); err != nil {
+	if err := p1.GenerateCtx(context.Background(), 400); err != nil {
 		t.Fatal(err)
 	}
-	res1, err := UBG{}.Solve(p1, 3)
+	res1, err := UBG{}.SolveCtx(context.Background(), p1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestGreedyNuMonotoneInK(t *testing.T) {
 	pool := randomPool(t, 123)
 	prev := -1.0
 	for k := 1; k <= 6; k++ {
-		seeds, err := GreedyNu(pool, k)
+		seeds, err := GreedyNuCtx(context.Background(), pool, k)
 		if err != nil {
 			t.Fatal(err)
 		}

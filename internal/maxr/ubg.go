@@ -15,7 +15,7 @@ import (
 // (ĉ_R(S_ν)/ν_R(S_ν))·(1−1/e).
 type UBG struct{}
 
-var _ CtxSolver = UBG{}
+var _ Solver = UBG{}
 
 // Name implements Solver.
 func (UBG) Name() string { return "UBG" }
@@ -25,12 +25,7 @@ func (UBG) Name() string { return "UBG" }
 // planning we use the nominal 1−1/e.
 func (UBG) Guarantee(_ *ric.Pool, _ int) float64 { return 1 - 1/math.E }
 
-// Solve implements Solver.
-func (u UBG) Solve(pool *ric.Pool, k int) (Result, error) {
-	return u.SolveCtx(context.Background(), pool, k)
-}
-
-// SolveCtx implements CtxSolver: both greedy halves poll ctx at batch
+// SolveCtx implements Solver: both greedy halves poll ctx at batch
 // boundaries.
 //
 //imc:longrun

@@ -1,6 +1,7 @@
 package ric
 
 import (
+	"context"
 	"testing"
 
 	"imc/internal/community"
@@ -88,7 +89,7 @@ func BenchmarkPoolGenerate1K(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := pool.Generate(1000); err != nil {
+		if err := pool.GenerateCtx(context.Background(), 1000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +102,7 @@ func BenchmarkCHatEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pool.Generate(5000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 5000); err != nil {
 		b.Fatal(err)
 	}
 	seeds := make([]graph.NodeID, 20)
@@ -121,7 +122,7 @@ func BenchmarkNuHatEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pool.Generate(5000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 5000); err != nil {
 		b.Fatal(err)
 	}
 	seeds := make([]graph.NodeID, 20)

@@ -74,22 +74,24 @@ func TestGenerateCtxMidFlightCancellation(t *testing.T) {
 }
 
 // TestGenerateCtxDeterminism is the tentpole invariant: a completed
-// ctx-run folds byte-identical samples in byte-identical order — the
-// cancellation polls never touch the PRNG streams.
+// run folds byte-identical samples in byte-identical order whether its
+// ctx can never fire (Background, Done() == nil) or is live but never
+// cancelled (Done() != nil, so every batch poll really selects on it)
+// — the cancellation polls never touch the PRNG streams.
 func TestGenerateCtxDeterminism(t *testing.T) {
 	g, part := ctxInstance(t)
 	plain, err := NewPool(g, part, PoolOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.Generate(600); err != nil {
+	if err := plain.GenerateCtx(context.Background(), 600); err != nil {
 		t.Fatal(err)
 	}
 	withCtx, err := NewPool(g, part, PoolOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if err := withCtx.GenerateCtx(ctx, 600); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package ric
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestNaiveSamplingIsBiased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(40000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 40000); err != nil {
 		t.Fatal(err)
 	}
 	correct := pool.CHat(seeds)
@@ -83,7 +84,7 @@ func TestNaiveAgreesWhenNoSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(40000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 40000); err != nil {
 		t.Fatal(err)
 	}
 	correct := pool.CHat(seeds) // = 0.25 exactly in expectation

@@ -2,6 +2,7 @@ package ric_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -35,7 +36,7 @@ func TestPoolBytesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pool.Generate(pin.samples); err != nil {
+			if err := pool.GenerateCtx(context.Background(), pin.samples); err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer

@@ -2,6 +2,7 @@ package ric
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestPoolSerializationRoundTrip(t *testing.T) {
 	}
 	// The reloaded pool keeps growing correctly — and because it has the
 	// snapshot's seed, the extension continues the same sample sequence.
-	if err := back.Generate(100); err != nil {
+	if err := back.GenerateCtx(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
 	if back.NumSamples() != pool.NumSamples()+100 {

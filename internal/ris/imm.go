@@ -11,7 +11,7 @@ import (
 	"imc/internal/graph"
 )
 
-// SolveIMM picks k seeds with the IMM algorithm (Tang, Xiao & Shi,
+// SolveIMMCtx picks k seeds with the IMM algorithm (Tang, Xiao & Shi,
 // SIGMOD 2014): phase 1 ("sampling") estimates a lower bound LB on the
 // optimal spread by geometric search with a martingale-based test,
 // phase 2 ("node selection") sizes the RR pool as θ = λ*/LB and runs
@@ -21,13 +21,9 @@ import (
 //
 // Guarantee: 1 − 1/e − ε with probability ≥ 1 − δ (ℓ is derived from
 // Delta as ℓ = max(ln(1/δ)/ln n, 0.1)).
-func SolveIMM(g *graph.Graph, opts Options) (Solution, error) {
-	return SolveIMMCtx(context.Background(), g, opts)
-}
-
-// SolveIMMCtx is SolveIMM with cooperative cancellation threaded into
-// both phases' RR-set generation and checked between geometric-search
-// iterations.
+//
+// ctx is threaded into both phases' RR-set generation and checked
+// between geometric-search iterations.
 //
 //imc:longrun
 func SolveIMMCtx(ctx context.Context, g *graph.Graph, opts Options) (Solution, error) {

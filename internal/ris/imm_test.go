@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,13 +15,13 @@ func TestIMMValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveIMM(g, Options{K: 0}); err == nil {
+	if _, err := SolveIMMCtx(context.Background(), g, Options{K: 0}); err == nil {
 		t.Fatal("want K error")
 	}
-	if _, err := SolveIMM(g, Options{K: 10}); err == nil {
+	if _, err := SolveIMMCtx(context.Background(), g, Options{K: 10}); err == nil {
 		t.Fatal("want K > n error")
 	}
-	if _, err := SolveIMM(g, Options{K: 1, Delta: 7}); err == nil {
+	if _, err := SolveIMMCtx(context.Background(), g, Options{K: 1, Delta: 7}); err == nil {
 		t.Fatal("want delta error")
 	}
 }
@@ -30,7 +31,7 @@ func TestIMMPicksPathHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := SolveIMM(g, Options{K: 1, Seed: 5, MaxSamples: 1 << 14})
+	sol, err := SolveIMMCtx(context.Background(), g, Options{K: 1, Seed: 5, MaxSamples: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,20 +49,20 @@ func TestIMMMatchesSSAQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = graph.ApplyWeights(g, graph.WeightedCascade, 0, 0)
-	imm, err := SolveIMM(g, Options{K: 5, Seed: 23, MaxSamples: 1 << 16})
+	imm, err := SolveIMMCtx(context.Background(), g, Options{K: 5, Seed: 23, MaxSamples: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssa, err := Solve(g, Options{K: 5, Seed: 23, MaxSamples: 1 << 16})
+	ssa, err := SolveCtx(context.Background(), g, Options{K: 5, Seed: 23, MaxSamples: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mc := diffusion.MCOptions{Iterations: 8000, Seed: 29}
-	immSpread, err := diffusion.EstimateSpread(g, imm.Seeds, mc)
+	immSpread, err := diffusion.EstimateSpreadCtx(context.Background(), g, imm.Seeds, mc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssaSpread, err := diffusion.EstimateSpread(g, ssa.Seeds, mc)
+	ssaSpread, err := diffusion.EstimateSpreadCtx(context.Background(), g, ssa.Seeds, mc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestIMMDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = graph.ApplyWeights(g, graph.WeightedCascade, 0, 0)
-	a, err := SolveIMM(g, Options{K: 4, Seed: 37, MaxSamples: 1 << 15})
+	a, err := SolveIMMCtx(context.Background(), g, Options{K: 4, Seed: 37, MaxSamples: 1 << 15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveIMM(g, Options{K: 4, Seed: 37, MaxSamples: 1 << 15, Workers: 3})
+	b, err := SolveIMMCtx(context.Background(), g, Options{K: 4, Seed: 37, MaxSamples: 1 << 15, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

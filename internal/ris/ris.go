@@ -61,18 +61,14 @@ type Solution struct {
 	Elapsed time.Duration
 }
 
-// Solve picks k seeds approximately maximizing expected influence
+// SolveCtx picks k seeds approximately maximizing expected influence
 // spread using a stop-and-stare doubling schedule: grow the RR pool,
 // greedily cover it, and stop once an independent stopping-rule
 // estimate confirms the pool estimate.
-func Solve(g *graph.Graph, opts Options) (Solution, error) {
-	return SolveCtx(context.Background(), g, opts)
-}
-
-// SolveCtx is Solve with cooperative cancellation: the doubling loop
-// checks ctx per round and threads it into RR-set generation and the
-// stopping-rule verification. A completed run is byte-identical to the
-// ctx-free path.
+//
+// The doubling loop checks ctx per round and threads it into RR-set
+// generation and the stopping-rule verification. A completed run is
+// byte-identical under any ctx.
 //
 //imc:longrun
 func SolveCtx(ctx context.Context, g *graph.Graph, opts Options) (Solution, error) {

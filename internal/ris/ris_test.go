@@ -1,6 +1,7 @@
 package ris
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,13 +15,13 @@ func TestSolveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(g, Options{K: 0}); err == nil {
+	if _, err := SolveCtx(context.Background(), g, Options{K: 0}); err == nil {
 		t.Fatal("want K error")
 	}
-	if _, err := Solve(g, Options{K: 10}); err == nil {
+	if _, err := SolveCtx(context.Background(), g, Options{K: 10}); err == nil {
 		t.Fatal("want K > n error")
 	}
-	if _, err := Solve(g, Options{K: 1, Eps: 2}); err == nil {
+	if _, err := SolveCtx(context.Background(), g, Options{K: 1, Eps: 2}); err == nil {
 		t.Fatal("want eps error")
 	}
 }
@@ -31,7 +32,7 @@ func TestSolvePicksPathHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(g, Options{K: 1, Seed: 3})
+	sol, err := SolveCtx(context.Background(), g, Options{K: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +50,14 @@ func TestSolveSpreadMatchesMonteCarlo(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = graph.ApplyWeights(g, graph.WeightedCascade, 0, 0)
-	sol, err := Solve(g, Options{K: 5, Seed: 11})
+	sol, err := SolveCtx(context.Background(), g, Options{K: 5, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sol.Seeds) != 5 {
 		t.Fatalf("got %d seeds", len(sol.Seeds))
 	}
-	mc, err := diffusion.EstimateSpread(g, sol.Seeds, diffusion.MCOptions{Iterations: 20000, Seed: 13})
+	mc, err := diffusion.EstimateSpreadCtx(context.Background(), g, sol.Seeds, diffusion.MCOptions{Iterations: 20000, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,16 +72,16 @@ func TestSolveBeatsRandomSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = graph.ApplyWeights(g, graph.WeightedCascade, 0, 0)
-	sol, err := Solve(g, Options{K: 5, Seed: 19})
+	sol, err := SolveCtx(context.Background(), g, Options{K: 5, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := diffusion.MCOptions{Iterations: 5000, Seed: 23}
-	risSpread, err := diffusion.EstimateSpread(g, sol.Seeds, opt)
+	risSpread, err := diffusion.EstimateSpreadCtx(context.Background(), g, sol.Seeds, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	randSpread, err := diffusion.EstimateSpread(g, []graph.NodeID{290, 291, 292, 293, 294}, opt)
+	randSpread, err := diffusion.EstimateSpreadCtx(context.Background(), g, []graph.NodeID{290, 291, 292, 293, 294}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestSolveLTModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = graph.ApplyWeights(g, graph.WeightedCascade, 0, 0)
-	sol, err := Solve(g, Options{K: 3, Seed: 31, Model: diffusion.LT})
+	sol, err := SolveCtx(context.Background(), g, Options{K: 3, Seed: 31, Model: diffusion.LT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +114,11 @@ func TestSolveDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = graph.ApplyWeights(g, graph.WeightedCascade, 0, 0)
-	a, err := Solve(g, Options{K: 4, Seed: 43})
+	a, err := SolveCtx(context.Background(), g, Options{K: 4, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, Options{K: 4, Seed: 43, Workers: 3})
+	b, err := SolveCtx(context.Background(), g, Options{K: 4, Seed: 43, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

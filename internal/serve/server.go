@@ -68,7 +68,7 @@ type Config struct {
 	// generates locally, so enabling it is always safe.
 	ShardCoordinator *shard.Coordinator
 	// ShardWorker, when set, mounts the shard worker endpoints
-	// (/shard/ping, /shard/generate, /shard/pool, /shard/eval) so this
+	// (/shard/ping, /shard/generate, /shard/pool) so this
 	// server can serve sample ranges to a coordinator.
 	ShardWorker *shard.Worker
 }

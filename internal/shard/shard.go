@@ -17,7 +17,6 @@
 //	POST /shard/generate  ensure samples [lo, hi) exist (idempotent)
 //	POST /shard/pool      stream the range as a length-prefixed, CRC-framed
 //	                      IMCS export (ric.ExportRange)
-//	POST /shard/eval      per-candidate coverage marginals over the range
 //	POST /shard/join      worker self-registration with the coordinator
 //
 // Requests are JSON; the pool payload is binary (IMCS) inside the CRC
@@ -35,12 +34,11 @@ import (
 	"imc/internal/diffusion"
 )
 
-// Protocol paths. Workers mount the first four; coordinators mount Join.
+// Protocol paths. Workers mount the first three; coordinators mount Join.
 const (
 	PingPath     = "/shard/ping"
 	GeneratePath = "/shard/generate"
 	PoolPath     = "/shard/pool"
-	EvalPath     = "/shard/eval"
 	JoinPath     = "/shard/join"
 )
 
@@ -125,6 +123,8 @@ type GenRequest struct {
 	Hi       int          `json:"hi"`
 }
 
+// validate rejects what a worker can tell is a client mistake before
+// doing any work: an invalid or oversized range, or an unknown model.
 func (r GenRequest) validate() error {
 	if r.Lo < 0 || r.Hi < r.Lo {
 		return fmt.Errorf("shard: range [%d, %d) is not a valid sample interval", r.Lo, r.Hi)
@@ -132,7 +132,8 @@ func (r GenRequest) validate() error {
 	if r.Hi-r.Lo > maxRangeWidth {
 		return fmt.Errorf("shard: range width %d exceeds the %d-sample limit", r.Hi-r.Lo, maxRangeWidth)
 	}
-	return nil
+	_, err := r.Instance.model()
+	return err
 }
 
 // GenResponse reports one ensured range. Cached is true when the range
@@ -147,27 +148,6 @@ type GenResponse struct {
 	Samples  int  `json:"samples"`
 	Cached   bool `json:"cached"`
 	Ledgered bool `json:"ledgered"`
-}
-
-// EvalRequest asks a worker for exact per-candidate coverage marginals
-// over its range: for each candidate v, how many additional samples in
-// [Lo, Hi) become influenced when v joins Seeds. Counts are integers,
-// so the coordinator's cross-worker sums are exact — this is the
-// verification half of the protocol, used to cross-check a merged
-// solve against the flat pool.
-type EvalRequest struct {
-	GenRequest
-	Seeds      []int32 `json:"seeds"`
-	Candidates []int32 `json:"candidates"`
-}
-
-// EvalResponse carries the range's coverage of Seeds alone and the
-// per-candidate marginal gains, index-aligned with Candidates.
-type EvalResponse struct {
-	Lo       int   `json:"lo"`
-	Hi       int   `json:"hi"`
-	Coverage int   `json:"coverage"`
-	Gains    []int `json:"gains"`
 }
 
 // JoinRequest is a worker's self-registration: Addr is the base URL the

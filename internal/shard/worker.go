@@ -104,7 +104,6 @@ func (w *Worker) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET "+PingPath, w.handlePing)
 	mux.HandleFunc("POST "+GeneratePath, w.handleGenerate)
 	mux.HandleFunc("POST "+PoolPath, w.handlePool)
-	mux.HandleFunc("POST "+EvalPath, w.handleEval)
 }
 
 func (w *Worker) handlePing(rw http.ResponseWriter, _ *http.Request) {
@@ -113,7 +112,7 @@ func (w *Worker) handlePing(rw http.ResponseWriter, _ *http.Request) {
 
 func (w *Worker) handleGenerate(rw http.ResponseWriter, r *http.Request) {
 	var req GenRequest
-	if err := decodeShardJSON(r, &req); err != nil {
+	if err := decodeGenRequest(r, &req); err != nil {
 		writeShardError(rw, http.StatusBadRequest, err)
 		return
 	}
@@ -130,7 +129,7 @@ func (w *Worker) handleGenerate(rw http.ResponseWriter, r *http.Request) {
 
 func (w *Worker) handlePool(rw http.ResponseWriter, r *http.Request) {
 	var req GenRequest
-	if err := decodeShardJSON(r, &req); err != nil {
+	if err := decodeGenRequest(r, &req); err != nil {
 		writeShardError(rw, http.StatusBadRequest, err)
 		return
 	}
@@ -151,37 +150,22 @@ func (w *Worker) handlePool(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
-	var req EvalRequest
-	if err := decodeShardJSON(r, &req); err != nil {
-		writeShardError(rw, http.StatusBadRequest, err)
-		return
+// decodeGenRequest decodes and validates a /shard/generate or
+// /shard/pool body. Every error it returns is the client's, so the
+// handlers answer 400 before ensureRange does any work.
+func decodeGenRequest(r *http.Request, req *GenRequest) error {
+	if err := decodeShardJSON(r, req); err != nil {
+		return err
 	}
-	pool, _, _, err := w.ensureRange(r, req.GenRequest)
-	if err != nil {
-		writeShardError(rw, http.StatusInternalServerError, err)
-		return
-	}
-	base := pool.CoverageCount(req.Seeds)
-	gains := make([]int, len(req.Candidates))
-	probe := make([]graph.NodeID, len(req.Seeds), len(req.Seeds)+1)
-	copy(probe, req.Seeds)
-	for i, v := range req.Candidates {
-		gains[i] = pool.CoverageCount(append(probe, v)) - base
-	}
-	writeShardJSON(rw, http.StatusOK, EvalResponse{
-		Lo: req.Lo, Hi: req.Hi, Coverage: base, Gains: gains,
-	})
+	return req.validate()
 }
 
 // ensureRange returns a pool holding exactly global samples [Lo, Hi),
 // served from the shard cache when possible and generated (then cached
 // and ledgered) otherwise. Deterministic streams make the two paths
 // byte-identical, so "cached" is an economics flag, not a semantic one.
+// req must have passed validate.
 func (w *Worker) ensureRange(r *http.Request, req GenRequest) (pool *ric.Pool, cached, ledgered bool, err error) {
-	if err := req.validate(); err != nil {
-		return nil, false, false, err
-	}
 	g, part, err := w.instance(req.Instance)
 	if err != nil {
 		return nil, false, false, err

@@ -196,74 +196,48 @@ func TestWorkerWithoutDurability(t *testing.T) {
 	}
 }
 
-// TestWorkerEvalMatchesFlat: per-candidate marginals from the worker
-// equal the flat pool's integer marginals exactly.
-func TestWorkerEvalMatchesFlat(t *testing.T) {
-	const theta, poolSeed = 200, 5
-	ts := serveWorker(t, newTestWorker(t, t.TempDir()))
-	g, part, err := testBuild(testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := ric.NewPool(g, part, ric.PoolOptions{Seed: poolSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.EnsureCtx(context.Background(), theta); err != nil {
-		t.Fatal(err)
-	}
-
-	seeds := []int32{3, 8}
-	cands := []int32{0, 1, 5, 12, 20}
-	resp := postJSONT(t, ts.URL+EvalPath, EvalRequest{
-		GenRequest: GenRequest{Instance: testSpec, PoolSeed: poolSeed, Lo: 0, Hi: theta},
-		Seeds:      seeds, Candidates: cands,
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("eval returned %s", resp.Status)
-	}
-	var out EvalResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-
-	base := flat.CoverageCount(seeds)
-	if out.Coverage != base {
-		t.Fatalf("eval coverage %d, flat %d", out.Coverage, base)
-	}
-	for i, v := range cands {
-		want := flat.CoverageCount(append(append([]graph.NodeID{}, seeds...), v)) - base
-		if out.Gains[i] != want {
-			t.Errorf("gain[%d] (node %d) = %d, flat %d", i, v, out.Gains[i], want)
+// TestWorkerRejectsBadRequests: on both range endpoints, invalid
+// ranges, unknown models and unparseable bodies are client mistakes —
+// 400 with a JSON error body, never a 5xx and never a panic.
+func TestWorkerRejectsBadRequests(t *testing.T) {
+	ts := serveWorker(t, newTestWorker(t, ""))
+	for _, path := range []string{GeneratePath, PoolPath} {
+		for _, tc := range []struct {
+			name string
+			body []byte
+		}{
+			{"negative lo", mustJSON(t, GenRequest{Instance: testSpec, Lo: -1, Hi: 10})},
+			{"inverted", mustJSON(t, GenRequest{Instance: testSpec, Lo: 5, Hi: 2})},
+			{"huge range", mustJSON(t, GenRequest{Instance: testSpec, Lo: 0, Hi: maxRangeWidth + 1})},
+			{"unknown model", mustJSON(t, GenRequest{Instance: InstanceSpec{Dataset: "test", Seed: 7, Model: "bogus"}, Lo: 0, Hi: 10})},
+			{"malformed body", []byte("{nope")},
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body struct {
+				Error string `json:"error"`
+			}
+			derr := json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %s, want 400", path, tc.name, resp.Status)
+			}
+			if derr != nil || body.Error == "" {
+				t.Errorf("%s %s: no JSON error body (decode err %v)", path, tc.name, derr)
+			}
 		}
 	}
 }
 
-// TestWorkerRejectsBadRequests: invalid ranges, unknown models, and
-// unparseable bodies are 4xx/5xx with JSON error bodies, never panics.
-func TestWorkerRejectsBadRequests(t *testing.T) {
-	ts := serveWorker(t, newTestWorker(t, ""))
-	for name, req := range map[string]GenRequest{
-		"negative lo":   {Instance: testSpec, Lo: -1, Hi: 10},
-		"inverted":      {Instance: testSpec, Lo: 10, Hi: 5},
-		"huge range":    {Instance: testSpec, Lo: 0, Hi: maxRangeWidth + 1},
-		"unknown model": {Instance: InstanceSpec{Dataset: "test", Seed: 7, Model: "bogus"}, Lo: 0, Hi: 10},
-	} {
-		resp := postJSONT(t, ts.URL+GeneratePath, req)
-		if resp.StatusCode == http.StatusOK {
-			t.Errorf("%s accepted", name)
-		}
-		resp.Body.Close()
-	}
-	resp, err := http.Post(ts.URL+GeneratePath, "application/json", bytes.NewReader([]byte("{nope")))
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body returned %s", resp.Status)
-	}
-	resp.Body.Close()
+	return raw
 }
 
 // TestLedgerSurvivesTornTail: a torn (partial) final line is truncated
