@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -171,17 +172,17 @@ func TestOptionsValidation(t *testing.T) {
 		{K: 1000, Eps: 0.2, Delta: 0.2}, // K > n
 	}
 	for i, o := range bad {
-		if _, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, o); err == nil {
-			t.Fatalf("case %d: want validation error", i)
+		if _, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, o); !errors.Is(err, ErrInvalidOptions) {
+			t.Fatalf("case %d: want ErrInvalidOptions, got %v", i, err)
 		}
 	}
-	// Mismatched partition.
+	// Mismatched partition: an instance fault, not an options mistake.
 	small, err := community.Random(10, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveCtx(context.Background(), g, small, maxr.UBG{}, Options{K: 2, Eps: 0.2, Delta: 0.2}); err == nil {
-		t.Fatal("want mismatch error")
+	if _, err := SolveCtx(context.Background(), g, small, maxr.UBG{}, Options{K: 2, Eps: 0.2, Delta: 0.2}); err == nil || errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("want a mismatch error outside ErrInvalidOptions, got %v", err)
 	}
 }
 
@@ -369,7 +370,8 @@ func captureCheckpoints(t *testing.T, sink *[]savedCheckpoint) CheckpointFunc {
 // TestSolveCheckpointResume pins the resume contract: restarting the
 // stop-and-stare loop from ANY pool-growth boundary reproduces the
 // uninterrupted run's solution exactly — same seeds, same estimates,
-// same stop reason.
+// same stop reason — whether the resumed pool holds the boundary's
+// samples or none at all (the round counter alone is enough).
 func TestSolveCheckpointResume(t *testing.T) {
 	g, part := testInstance(t, 41)
 	opts := Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 77, MaxSamples: 1 << 12}
@@ -393,20 +395,26 @@ func TestSolveCheckpointResume(t *testing.T) {
 	assertSameSolution(t, "checkpointing run", baseline, plain)
 
 	for _, ck := range ckpts {
-		pool, err := ric.NewPool(g, part, ric.PoolOptions{Seed: opts.Seed})
-		if err != nil {
-			t.Fatal(err)
+		for _, restore := range []bool{true, false} {
+			pool, err := ric.NewPool(g, part, ric.PoolOptions{Seed: opts.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("resume from round %d, empty pool", ck.doublings)
+			if restore {
+				if err := pool.ReadInto(bytes.NewReader(ck.pool)); err != nil {
+					t.Fatalf("restore checkpoint at round %d: %v", ck.doublings, err)
+				}
+				label = fmt.Sprintf("resume from round %d", ck.doublings)
+			}
+			resumed := opts
+			resumed.Resume = &Checkpoint{Pool: pool, Doublings: ck.doublings}
+			sol, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, resumed)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertSameSolution(t, label, baseline, sol)
 		}
-		if err := pool.ReadInto(bytes.NewReader(ck.pool)); err != nil {
-			t.Fatalf("restore checkpoint at round %d: %v", ck.doublings, err)
-		}
-		resumed := opts
-		resumed.Resume = &Checkpoint{Pool: pool, Doublings: ck.doublings}
-		sol, err := SolveCtx(context.Background(), g, part, maxr.UBG{}, resumed)
-		if err != nil {
-			t.Fatalf("resume from round %d: %v", ck.doublings, err)
-		}
-		assertSameSolution(t, fmt.Sprintf("resume from round %d", ck.doublings), baseline, sol)
 	}
 }
 
@@ -434,12 +442,12 @@ func TestSolveResumeValidation(t *testing.T) {
 	g, part := testInstance(t, 41)
 	opts := Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 77, MaxSamples: 1 << 12}
 
-	goodPool := func(seed uint64) *ric.Pool {
+	goodPool := func(seed uint64, samples int) *ric.Pool {
 		pool, err := ric.NewPool(g, part, ric.PoolOptions{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.GenerateCtx(context.Background(), 64); err != nil {
+		if err := pool.GenerateCtx(context.Background(), samples); err != nil {
 			t.Fatal(err)
 		}
 		return pool
@@ -451,15 +459,14 @@ func TestSolveResumeValidation(t *testing.T) {
 		wantSub string
 	}{
 		{"nil pool", &Checkpoint{}, "no pool"},
-		{"empty pool", func() *Checkpoint {
-			pool, err := ric.NewPool(g, part, ric.PoolOptions{Seed: 77})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return &Checkpoint{Pool: pool}
-		}(), "empty"},
-		{"seed mismatch", &Checkpoint{Pool: goodPool(78)}, "seed"},
-		{"negative round", &Checkpoint{Pool: goodPool(77), Doublings: -1}, "negative"},
+		{"seed mismatch", &Checkpoint{Pool: goodPool(78, 64)}, "seed"},
+		{"negative round", &Checkpoint{Pool: goodPool(77, 64), Doublings: -1}, "negative"},
+		// Round 0 holds ⌈Λ⌉ = 992 samples at ε = δ = 0.3.
+		{"pool longer than round", &Checkpoint{Pool: goodPool(77, 993)}, "longer than round"},
+		// 992·2^3 > MaxSamples = 4096; so is any round whose shift
+		// would overflow.
+		{"round past MaxSamples", &Checkpoint{Pool: goodPool(77, 64), Doublings: 3}, "past MaxSamples"},
+		{"round past int width", &Checkpoint{Pool: goodPool(77, 64), Doublings: 80}, "past MaxSamples"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -86,12 +87,15 @@ type Options struct {
 	// progress and is not getting it. The callback must not mutate the
 	// pool.
 	Checkpoint CheckpointFunc
-	// Resume, when non-nil, restarts the stop-and-stare loop from a
-	// previously checkpointed pool instead of generating the initial
-	// batch. The pool must have been created over the same graph and
-	// partition with the same Seed and Model (validated), and Options
-	// must otherwise equal the original run's — then the resumed run
-	// retraces the uninterrupted one exactly, seed for seed.
+	// Resume, when non-nil, restarts the stop-and-stare loop at round
+	// Resume.Doublings instead of round 0. The round counter is the
+	// whole resume state: the loop grows Resume.Pool through Grow to
+	// the round's size, ⌈Λ⌉·2^Doublings, so the pool may hold any
+	// prefix of the run's samples, including none. The pool must have
+	// been created over the same graph and partition with the same Seed
+	// and Model (validated), and Options must otherwise equal the
+	// original run's — then the resumed run retraces the uninterrupted
+	// one exactly, seed for seed.
 	Resume *Checkpoint
 	// Grow, when non-nil, supplies pool samples in place of plain
 	// generation: the stop-and-stare loop calls it wherever it would
@@ -124,29 +128,48 @@ func (o Options) growFunc() GrowFunc {
 }
 
 // Checkpoint captures the resumable progress of a SolveCtx run at a
-// pool-growth boundary. Everything else the loop consults — Λ, Ψ, the
-// estimate-check seeds — is recomputed deterministically from Options,
-// so the pool plus the round counter is the whole resume state.
+// pool-growth boundary. Everything the loop consults — Λ, Ψ, the
+// estimate-check seeds, and the pool itself, since sample i is always
+// drawn from PRNG stream i — is recomputed deterministically from
+// Options and the round counter, so Doublings is the whole resume
+// state. Pool is the live pool at a boundary; on resume it is the pool
+// to continue from, holding any prefix of the run's samples.
 type Checkpoint struct {
-	// Pool is the live sample pool; persist it with Pool.Save.
+	// Pool is the sample pool.
 	Pool *ric.Pool
 	// Doublings is the stop-and-stare round counter at the boundary.
 	Doublings int
 }
 
 // CheckpointFunc receives solver checkpoints. Implementations typically
-// serialize cp.Pool and record cp.Doublings somewhere durable.
+// record cp.Doublings somewhere durable; cp.Pool is the live pool,
+// which a pool cache may store to save regeneration on resume.
 type CheckpointFunc func(cp Checkpoint) error
+
+// ErrInvalidOptions marks a solve that was rejected because of its
+// parameters (the budget K, ε or δ) rather than a fault of the
+// instance or the machine: the caller's mistake, matched with
+// errors.Is.
+var ErrInvalidOptions = errors.New("core: invalid options")
+
+// CheckFraction reports an error wrapping ErrInvalidOptions unless v
+// lies in the open unit interval (0, 1) that ε and δ must occupy.
+func CheckFraction(name string, v float64) error {
+	if !(v > 0 && v < 1) {
+		return fmt.Errorf("%w: %s %g out of (0, 1)", ErrInvalidOptions, name, v)
+	}
+	return nil
+}
 
 func (o Options) normalized() (Options, error) {
 	if o.K < 1 {
-		return o, fmt.Errorf("core: K=%d must be ≥ 1", o.K)
+		return o, fmt.Errorf("%w: K=%d must be ≥ 1", ErrInvalidOptions, o.K)
 	}
-	if o.Eps <= 0 || o.Eps >= 1 {
-		return o, fmt.Errorf("core: Eps %g out of (0, 1)", o.Eps)
+	if err := CheckFraction("Eps", o.Eps); err != nil {
+		return o, err
 	}
-	if o.Delta <= 0 || o.Delta >= 1 {
-		return o, fmt.Errorf("core: Delta %g out of (0, 1)", o.Delta)
+	if err := CheckFraction("Delta", o.Delta); err != nil {
+		return o, err
 	}
 	if o.Model == 0 {
 		o.Model = diffusion.IC
@@ -206,20 +229,6 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 	now := clock.OrWall(opts.Clock)
 	start := now()
 
-	var pool *ric.Pool
-	resumeFrom := 0
-	if opts.Resume != nil {
-		if pool, err = validateResume(g, part, opts); err != nil {
-			return Solution{}, err
-		}
-		resumeFrom = opts.Resume.Doublings
-	} else {
-		pool, err = ric.NewPool(g, part, ric.PoolOptions{Model: opts.Model, Seed: opts.Seed, Workers: opts.Workers})
-		if err != nil {
-			return Solution{}, err
-		}
-	}
-
 	// Alg. 5 line 1: split ε, δ for the Ψ bound (paper setting:
 	// ε1 = ε2 = ε/2, δ1 = δ2 = δ/2).
 	eps1, eps2 := opts.Eps/2, opts.Eps/2
@@ -227,12 +236,6 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 	// Alg. 5 line 3: split ε for the stop stage (paper setting ε/4 each;
 	// ε ≥ ε1+ε2+ε3+ε1ε2 holds).
 	se1, se2, se3 := opts.Eps/4, opts.Eps/4, opts.Eps/4
-
-	alpha := solver.Guarantee(pool, opts.K)
-	if opts.NuGuided {
-		alpha = 1 - 1/math.E
-	}
-	psi := PsiBound(g, part, opts.K, alpha, eps1, eps2, delta1, delta2)
 
 	// Alg. 5 line 4: Λ = (1+ε1)(1+ε2)·(3/ε3²)·ln(3/(2δ)). (The paper's
 	// typography is ambiguous about the ε3 exponent; we use the SSA
@@ -245,12 +248,29 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 	if initial > opts.MaxSamples {
 		initial = opts.MaxSamples
 	}
-	grow := opts.growFunc()
-	if opts.Resume == nil {
-		if err := grow(ctx, pool, initial); err != nil {
+
+	// Round d's pool is exactly the first initial·2^d samples, so a
+	// resumed run grows whatever prefix it was handed to that size.
+	var pool *ric.Pool
+	resumeFrom := 0
+	if opts.Resume != nil {
+		if err := validateResume(g, part, opts, initial); err != nil {
 			return Solution{}, err
 		}
+		pool, resumeFrom = opts.Resume.Pool, opts.Resume.Doublings
+	} else if pool, err = ric.NewPool(g, part, ric.PoolOptions{Model: opts.Model, Seed: opts.Seed, Workers: opts.Workers}); err != nil {
+		return Solution{}, err
 	}
+	grow := opts.growFunc()
+	if err := grow(ctx, pool, initial<<resumeFrom); err != nil {
+		return Solution{}, err
+	}
+
+	alpha := solver.Guarantee(pool, opts.K)
+	if opts.NuGuided {
+		alpha = 1 - 1/math.E
+	}
+	psi := PsiBound(g, part, opts.K, alpha, eps1, eps2, delta1, delta2)
 
 	// Checkpoint count for the union bound over stop stages. Ψ can be
 	// infinite when the solver's guarantee is vacuous (e.g. MAF with
@@ -364,28 +384,32 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 }
 
 // validateResume checks that a Resume checkpoint can only continue the
-// run it was taken from: same instance shape, same seed, same model,
-// and a non-empty pool. Anything else would silently fork the sample
-// sequence and break the byte-identical-resume guarantee.
-func validateResume(g *graph.Graph, part *community.Partition, opts Options) (*ric.Pool, error) {
-	pool := opts.Resume.Pool
+// run it was taken from: same instance shape, same seed, same model, a
+// round the run could have reached under MaxSamples, and a pool no
+// longer than that round's initial·2^Doublings samples. Anything else
+// would silently fork the sample sequence and break the
+// byte-identical-resume guarantee.
+func validateResume(g *graph.Graph, part *community.Partition, opts Options, initial int) error {
+	pool, d := opts.Resume.Pool, opts.Resume.Doublings
 	switch {
 	case pool == nil:
-		return nil, fmt.Errorf("core: resume checkpoint has no pool")
-	case pool.NumSamples() == 0:
-		return nil, fmt.Errorf("core: resume pool is empty")
-	case opts.Resume.Doublings < 0:
-		return nil, fmt.Errorf("core: resume doublings %d is negative", opts.Resume.Doublings)
+		return fmt.Errorf("core: resume checkpoint has no pool")
+	case d < 0:
+		return fmt.Errorf("core: resume doublings %d is negative", d)
 	case pool.Graph().NumNodes() != g.NumNodes():
-		return nil, fmt.Errorf("core: resume pool covers %d nodes, graph has %d", pool.Graph().NumNodes(), g.NumNodes())
+		return fmt.Errorf("core: resume pool covers %d nodes, graph has %d", pool.Graph().NumNodes(), g.NumNodes())
 	case pool.Partition().NumCommunities() != part.NumCommunities():
-		return nil, fmt.Errorf("core: resume pool has %d communities, partition has %d", pool.Partition().NumCommunities(), part.NumCommunities())
+		return fmt.Errorf("core: resume pool has %d communities, partition has %d", pool.Partition().NumCommunities(), part.NumCommunities())
 	case pool.Seed() != opts.Seed:
-		return nil, fmt.Errorf("core: resume pool seed %d does not match Options.Seed %d", pool.Seed(), opts.Seed)
+		return fmt.Errorf("core: resume pool seed %d does not match Options.Seed %d", pool.Seed(), opts.Seed)
 	case pool.Model() != opts.Model:
-		return nil, fmt.Errorf("core: resume pool model %v does not match Options.Model %v", pool.Model(), opts.Model)
+		return fmt.Errorf("core: resume pool model %v does not match Options.Model %v", pool.Model(), opts.Model)
+	case initial > opts.MaxSamples>>d: // initial·2^d > MaxSamples, without overflow
+		return fmt.Errorf("core: resume round %d needs %d·2^%d samples, past MaxSamples %d", d, initial, d, opts.MaxSamples)
+	case pool.NumSamples() > initial<<d:
+		return fmt.Errorf("core: resume pool holds %d samples, longer than round %d's %d", pool.NumSamples(), d, initial<<d)
 	}
-	return pool, nil
+	return nil
 }
 
 // discardHandler drops every record; it stands in when no Logger is
@@ -515,7 +539,7 @@ func compatible(g *graph.Graph, part *community.Partition, k int) error {
 		return fmt.Errorf("core: graph has %d nodes but partition covers %d", g.NumNodes(), part.NumNodes())
 	}
 	if k > g.NumNodes() {
-		return fmt.Errorf("core: K=%d exceeds node count %d", k, g.NumNodes())
+		return fmt.Errorf("%w: K=%d exceeds node count %d", ErrInvalidOptions, k, g.NumNodes())
 	}
 	return part.Validate()
 }

@@ -60,8 +60,10 @@ type RunConfig struct {
 	// the baselines run to completion or not at all — and requires
 	// Runs == 1: a multi-run average has no single resumable pool.
 	Checkpoint core.CheckpointFunc
-	// Resume restarts a (single-run, core-solver) selection from a
-	// checkpoint taken by Checkpoint. With identical Spec and seed the
+	// Resume restarts a (single-run, core-solver) selection at the round
+	// of a checkpoint taken by Checkpoint; its pool may hold any prefix
+	// of the run's samples, including none, and Grow rebuilds the rest
+	// (see core.Options.Resume). With identical Spec and seed the
 	// resumed run returns the byte-identical seed set and benefit the
 	// uninterrupted run would have.
 	Resume *core.Checkpoint

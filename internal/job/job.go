@@ -12,12 +12,14 @@
 // is always drawn from PRNG stream i of the job's seed — a killed or
 // restarted process resumes every in-flight job from its last
 // checkpoint and produces the byte-identical seed set an uninterrupted
-// run would have.
+// run would have. A checkpoint is only the journaled round counter:
+// the pool at round d is the first ⌈Λ⌉·2^d samples of the seed, which
+// the resumed solve grows back, adopting from the pool cache when one
+// is wired.
 //
 // Store layout under the job directory:
 //
-//	journal.log      append-only JSONL of submissions and transitions
-//	<id>.ckpt        latest checkpoint (atomic rename, IMCK codec)
+//	journal.log      append-only JSONL of submissions, transitions and checkpoints
 //	<id>.result.json terminal result (atomic rename)
 package job
 
@@ -26,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"imc/internal/core"
 	"imc/internal/diffusion"
 	"imc/internal/expt"
 )
@@ -116,6 +119,17 @@ func (s Spec) Validate() error {
 	}
 	if s.Scale <= 0 || s.Scale > 1 {
 		return fmt.Errorf("job: scale %g out of (0, 1]", s.Scale)
+	}
+	// Zero ε or δ selects the solver default.
+	if s.Eps != 0 {
+		if err := core.CheckFraction("eps", s.Eps); err != nil {
+			return fmt.Errorf("job: %w", err)
+		}
+	}
+	if s.Delta != 0 {
+		if err := core.CheckFraction("delta", s.Delta); err != nil {
+			return fmt.Errorf("job: %w", err)
+		}
 	}
 	return nil
 }

@@ -285,7 +285,7 @@ func (p *Pool) finish(id string, worker int, res Result, runErr error, interrupt
 		}
 		p.log.Info("job canceled", "job", id, "worker", worker)
 	case interrupted:
-		// Drain: back to pending with the checkpoint still on disk.
+		// Drain: back to pending with the checkpoint still journaled.
 		if err := p.store.MarkInterrupted(id); err != nil {
 			p.log.Error("job interrupt not persisted", "job", id, "err", err)
 		}
@@ -299,7 +299,7 @@ func (p *Pool) finish(id string, worker int, res Result, runErr error, interrupt
 }
 
 // runJob executes one claimed job: build the instance, restore the
-// latest checkpoint if one exists, and run the algorithm with
+// latest journaled round if one exists, and run the algorithm with
 // checkpointing wired to the store.
 //
 //imc:longrun
@@ -313,21 +313,17 @@ func (p *Pool) runJob(ctx context.Context, j *Job) (Result, error) {
 	if errors.Is(err, errNoCheckpoint) {
 		resume = nil
 	} else if err != nil {
-		// A corrupt or mismatched checkpoint must not wedge the job
-		// forever: drop it and restart the solve from scratch.
-		p.log.Warn("job checkpoint unusable, restarting solve", "job", j.ID, "err", err)
-		if derr := p.store.DropCheckpoint(j.ID); derr != nil {
-			return Result{}, derr
-		}
-		resume = nil
+		return Result{}, err
 	}
 
 	// One cache session per run (nil-safe when no cache is wired): the
-	// solver adopts cached samples through Grow, and each checkpoint
-	// boundary stores the grown pool back. The durable job checkpoint
-	// is written first and its errors still abort the solve — the
-	// shared cache is an accelerator, never part of the durability
-	// contract, so its failures are only logged.
+	// solver grows its pool through Grow — adopting the cached prefix,
+	// then generating the missing tail, which is how a resumed job gets
+	// its round's pool back — and each checkpoint boundary stores the
+	// grown pool back. The journaled round is written first and its
+	// errors still abort the solve; the shared cache is an accelerator,
+	// never part of the durability contract, so its failures are only
+	// logged.
 	sess := p.cache.Begin(inst.G, inst.Part, j.Spec.model(), j.Spec.Seed)
 	cfg := expt.RunConfig{
 		Eps:        j.Spec.Eps,

@@ -12,6 +12,7 @@ import (
 	"imc/internal/core"
 	"imc/internal/expt"
 	"imc/internal/gen"
+	"imc/internal/poolcache"
 )
 
 // testBuildInstance is the pool tests' BuildInstance seam: a small
@@ -33,10 +34,18 @@ func testBuildInstance(cfg expt.InstanceConfig) (*expt.Instance, error) {
 
 func newTestPool(t *testing.T, s *Store) *Pool {
 	t.Helper()
+	return newCachedTestPool(t, s, nil)
+}
+
+// newCachedTestPool is newTestPool with a pool cache wired (nil means
+// none).
+func newCachedTestPool(t *testing.T, s *Store, cache *poolcache.Cache) *Pool {
+	t.Helper()
 	return NewPool(s, PoolOptions{
 		Workers:       2,
 		Log:           slog.New(slog.NewTextHandler(io.Discard, nil)),
 		BuildInstance: testBuildInstance,
+		PoolCache:     cache,
 	})
 }
 

@@ -1,7 +1,6 @@
 package job
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,8 +15,8 @@ import (
 	"imc/internal/ric"
 )
 
-// Store is the disk-backed job registry: all metadata flows through
-// the append-only journal, large blobs (checkpoints, results) sit in
+// Store is the disk-backed job registry: all metadata, checkpoints
+// included, flows through the append-only journal, results sit in
 // per-job side files, and the whole state is rebuilt by replay on Open.
 // All methods are safe for concurrent use.
 type Store struct {
@@ -37,7 +36,7 @@ var ErrNotFound = errors.New("job: not found")
 
 // Open loads (or initializes) a store in dir. Jobs that were running
 // when the previous process died are returned to pending with their
-// resume counter bumped — their latest checkpoint is still on disk, so
+// resume counter bumped — their latest checkpoint is in the journal, so
 // the next worker to pick them up continues where they stopped. now
 // supplies timestamps (nil means the wall clock).
 func Open(dir string, now clock.Func) (*Store, error) {
@@ -128,9 +127,6 @@ func (s *Store) apply(rec journalRecord) error {
 }
 
 func (s *Store) journalPath() string { return filepath.Join(s.dir, "journal.log") }
-func (s *Store) checkpointPath(id string) string {
-	return filepath.Join(s.dir, id+".ckpt")
-}
 func (s *Store) resultPath(id string) string {
 	return filepath.Join(s.dir, id+".result.json")
 }
@@ -300,7 +296,7 @@ func (s *Store) CancelPending(id string) error {
 }
 
 // MarkInterrupted returns a running job to pending after a drain: its
-// checkpoint stays on disk and its resume counter records the
+// journaled checkpoint stays and its resume counter records the
 // interruption.
 func (s *Store) MarkInterrupted(id string) error {
 	_, err := s.transition(id, StateRunning, StatePending, "", true)
@@ -349,27 +345,18 @@ func (s *Store) Result(id string) (Result, error) {
 	return res, nil
 }
 
-// SaveCheckpoint durably records a solver checkpoint for the job: the
-// pool snapshot goes to the side file first (atomic rename), then the
-// journal records its existence. Crash between the two leaves a
-// checkpoint file slightly newer than the journal entry — harmless,
-// since the file itself carries the round counter.
+// errNoCheckpoint reports that a job has no journaled checkpoint — a
+// normal condition (the job never reached its first boundary).
+var errNoCheckpoint = errors.New("job: no checkpoint")
+
+// SaveCheckpoint durably records that the job reached a pool-growth
+// boundary: one journal record of the round counter and pool size. The
+// round is the whole checkpoint — the pool at round d is exactly the
+// first ⌈Λ⌉·2^d samples of the job's seed, which the resumed solve
+// regrows (or adopts from the pool cache) through its Grow hook.
 func (s *Store) SaveCheckpoint(id string, cp core.Checkpoint) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	var spec Spec
-	if ok {
-		spec = j.Spec
-	}
-	s.mu.Unlock()
-	if !ok {
-		return ErrNotFound
-	}
-	if err := writeCheckpointFile(s.checkpointPath(id), spec, cp); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	j, ok = s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
 		return ErrNotFound
@@ -388,55 +375,29 @@ func (s *Store) SaveCheckpoint(id string, cp core.Checkpoint) error {
 	return jl.Commit(ticket)
 }
 
-// LoadCheckpoint restores the job's latest checkpoint against the
-// instance it will run on. Returns errNoCheckpoint when the job never
-// checkpointed; any other error means the checkpoint exists but cannot
-// be trusted (corrupt, truncated, or belonging to a different spec) —
-// callers log it and restart the solve from scratch.
+// LoadCheckpoint returns the job's latest journaled round with an empty
+// pool over inst for the solve to grow back to that round's size.
+// Returns errNoCheckpoint when the job never checkpointed.
 func (s *Store) LoadCheckpoint(id string, inst *expt.Instance) (*core.Checkpoint, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	var spec Spec
+	var info *CheckpointInfo
 	if ok {
-		spec = j.Spec
+		spec, info = j.Spec, j.Checkpoint
 	}
 	s.mu.Unlock()
 	if !ok {
 		return nil, ErrNotFound
 	}
-	dec, err := readCheckpointFile(s.checkpointPath(id))
-	if err != nil {
-		return nil, err
-	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	gotJSON, err := json.Marshal(dec.spec)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(specJSON, gotJSON) {
-		return nil, fmt.Errorf("job: checkpoint for %s was taken by a different spec (%s vs %s)", id, gotJSON, specJSON)
+	if info == nil {
+		return nil, errNoCheckpoint
 	}
 	pool, err := ric.NewPool(inst.G, inst.Part, ric.PoolOptions{Model: spec.model(), Seed: spec.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("job: rebuild checkpoint pool: %w", err)
 	}
-	if err := pool.ReadInto(bytes.NewReader(dec.poolBytes)); err != nil {
-		return nil, fmt.Errorf("job: restore checkpoint pool for %s: %w", id, err)
-	}
-	return &core.Checkpoint{Pool: pool, Doublings: dec.doublings}, nil
-}
-
-// DropCheckpoint removes a job's checkpoint file (used when a stale or
-// corrupt checkpoint must not be retried).
-func (s *Store) DropCheckpoint(id string) error {
-	err := os.Remove(s.checkpointPath(id))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("job: drop checkpoint: %w", err)
-	}
-	return nil
+	return &core.Checkpoint{Pool: pool, Doublings: info.Doublings}, nil
 }
 
 // Dir returns the store's directory.

@@ -185,8 +185,17 @@ func TestJobSubmitIdempotencyKey(t *testing.T) {
 
 func TestJobValidationAndNotFound(t *testing.T) {
 	ts := newJobTestServer(t, false)
-	if status, body := doJSON(t, "POST", ts.URL+"/v1/jobs", nil, JobSubmitRequest{Spec: job.Spec{K: 0}}, nil); status != http.StatusBadRequest {
-		t.Fatalf("k=0 status %d: %s", status, body)
+	for _, tc := range []struct {
+		name string
+		spec job.Spec
+	}{
+		{"k=0", job.Spec{K: 0}},
+		{"eps=1.5", job.Spec{K: 3, Eps: 1.5}},
+		{"delta=-0.5", job.Spec{K: 3, Delta: -0.5}},
+	} {
+		if status, body := doJSON(t, "POST", ts.URL+"/v1/jobs", nil, JobSubmitRequest{Spec: tc.spec}, nil); status != http.StatusBadRequest {
+			t.Fatalf("%s status %d: %s", tc.name, status, body)
+		}
 	}
 	if status, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/j99999999", nil, nil, nil); status != http.StatusNotFound {
 		t.Fatalf("unknown job status %d", status)

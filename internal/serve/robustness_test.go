@@ -254,6 +254,47 @@ func TestMetricsCardinalityBounded(t *testing.T) {
 	}
 }
 
+// TestSolverValidationIs4xx pins that options the solver rejects are
+// the client's mistake: 400 with the validation kind, counted in
+// Errors4xx — never a 500.
+func TestSolverValidationIs4xx(t *testing.T) {
+	ts := newTestServer(t)
+	cases := []struct {
+		name string
+		body string
+	}{
+		{"k past node count", `{"dataset":"karate","scale":1,"k":1000}`},
+		{"eps out of range", `{"dataset":"karate","scale":1,"k":2,"eps":1.5}`},
+		{"negative delta", `{"dataset":"karate","scale":1,"k":2,"delta":-0.5}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/solve", "application/json", bytes.NewReader([]byte(tc.body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			if _, err := buf.ReadFrom(resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", resp.StatusCode, buf.Bytes())
+			}
+			if kind := decodeErrorKind(t, buf.Bytes()); kind != kindValidation {
+				t.Fatalf("kind %q, want %q", kind, kindValidation)
+			}
+		})
+	}
+	var m Metrics
+	if status, body := doJSON(t, "GET", ts.URL+"/metrics", nil, nil, &m); status != http.StatusOK {
+		t.Fatalf("metrics status %d: %s", status, body)
+	}
+	if m.Errors4xx["/solve"] != int64(len(cases)) || m.Errors5xx["/solve"] != 0 {
+		t.Fatalf("solve 4xx = %d, 5xx = %d; want %d, 0", m.Errors4xx["/solve"], m.Errors5xx["/solve"], len(cases))
+	}
+}
+
 // TestErrorClassSplit pins the 4xx/5xx metrics split: a validation
 // error lands in Errors4xx, a timeout in Errors5xx, and both appear in
 // the combined Errors map.

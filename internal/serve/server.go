@@ -826,12 +826,15 @@ func writeError(w http.ResponseWriter, status int, kind string, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error(), "kind": kind})
 }
 
-// writeSolverError classifies a post-validation failure: cancellation
-// and deadline expiry are service-level conditions (503 — the request
-// was valid, the server stopped the work), everything else is an
-// internal failure (500). Validation errors never reach this path.
+// writeSolverError classifies a solver failure: options the solver
+// rejects (k past the node count, ε or δ out of range) are the
+// client's mistake (400); cancellation and deadline expiry are
+// service-level conditions (503 — the request was valid, the server
+// stopped the work); everything else is an internal failure (500).
 func writeSolverError(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, core.ErrInvalidOptions):
+		writeError(w, http.StatusBadRequest, kindValidation, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusServiceUnavailable, kindTimeout, err)
 	case errors.Is(err, context.Canceled):
