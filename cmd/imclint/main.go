@@ -1,5 +1,5 @@
 // Command imclint runs the repository's static-analysis suite:
-// twenty-six analyzers built on go/parser, go/ast, and go/types that
+// twenty-four analyzers built on go/parser, go/ast, and go/types that
 // machine-check the determinism, concurrency, allocation, layering,
 // numeric, hot-path performance, and memory-layout invariants the
 // RIC-sampling guarantees depend on (see DESIGN.md, "Static analysis
@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	imclint [-check name,name] [-list] [-graph] [-update-api] [-json] [-baseline file] [-bench file] [-cache=false] [packages]
+//	imclint [-check name,name] [-list] [-graph] [-update-api] [-json] [-bench file] [packages]
 //
 // Packages default to ./... relative to the enclosing module. Exit
 // status is 1 when any diagnostic fires, 0 on a clean tree, 2 on usage
@@ -23,19 +23,8 @@
 // BENCH_lint.json-shaped file with per-analyzer wall time, findings
 // count, and the call/lock graph sizes.
 //
-// -json emits a {"callgraph": stats, "findings": [...]} object (the
-// findings array is the shape -baseline consumes; -baseline also still
-// accepts a bare array), so `imclint -json > lint-baseline.json`
-// freezes the current findings and `imclint -baseline
-// lint-baseline.json` reports only regressions. Baseline matching
-// ignores line numbers: unrelated edits that shift a known finding do
-// not resurface it.
-//
-// Full-module runs consult a per-package fact cache under
-// <module>/.imclint-cache/, keyed by a content hash over the module's
-// analysis inputs; when nothing has changed the whole report replays
-// without parsing a file. -cache=false disables it, and the -json
-// report carries hit/miss counts under "cache".
+// -json emits a {"callgraph": stats, "lockgraph": stats, "findings":
+// [...]} object, the shape CI uploads as its findings artifact.
 package main
 
 import (
@@ -57,7 +46,7 @@ func main() {
 }
 
 // finding is the machine-readable form of one diagnostic — the schema
-// of the -json findings array and of -baseline input.
+// of the -json findings array.
 type finding struct {
 	Check   string `json:"check"`
 	File    string `json:"file"`
@@ -66,20 +55,12 @@ type finding struct {
 	Message string `json:"message"`
 }
 
-// key is the baseline identity of a finding: file and message but NOT
-// line/col, so a baseline survives unrelated edits above the site.
-func (f finding) key() string {
-	return f.Check + "\x00" + f.File + "\x00" + f.Message
-}
-
 // report is the -json output shape: call-graph stats alongside the
 // findings, so the CI artifact records the interprocedural view the
-// findings were computed against. Cache is present only when the fact
-// cache was consulted (full-module runs with -cache left on).
+// findings were computed against.
 type report struct {
 	CallGraph lint.CallGraphStats `json:"callgraph"`
 	LockGraph lint.LockGraphStats `json:"lockgraph"`
-	Cache     *cacheStats         `json:"cache,omitempty"`
 	Findings  []finding           `json:"findings"`
 }
 
@@ -92,10 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		graph     = fs.Bool("graph", false, "dump the whole-program call graph and exit")
 		updateAPI = fs.Bool("update-api", false, "regenerate the exported-API snapshot and exit")
 		jsonOut   = fs.Bool("json", false, "emit callgraph stats + findings as JSON")
-		baseline  = fs.String("baseline", "", "JSON findings file; matching findings are not reported")
 		bench     = fs.String("bench", "", "write per-analyzer wall time + findings counts to this JSON file")
-		cacheOn   = fs.Bool("cache", true, "use the per-package fact cache on full-module runs")
-		cacheDir  = fs.String("cache-dir", "", "fact-cache directory (default <module>/.imclint-cache)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -118,23 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	baselined := make(map[string]bool)
-	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "imclint:", err)
-			return 2
-		}
-		old, err := parseBaseline(data)
-		if err != nil {
-			fmt.Fprintf(stderr, "imclint: parsing baseline %s: %v\n", *baseline, err)
-			return 2
-		}
-		for _, f := range old {
-			baselined[f.key()] = true
-		}
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(stderr, "imclint:", err)
@@ -144,37 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "imclint:", err)
 		return 2
-	}
-
-	// The fact cache only serves full-module lint runs: -graph and
-	// -update-api need the live program, -bench must time real work, and
-	// a partial package list has no stable manifest to replay.
-	var cache *factCache
-	if *cacheOn && !*graph && !*updateAPI && *bench == "" && fullModuleLoad(fs.Args()) {
-		dir := *cacheDir
-		if dir == "" {
-			dir = filepath.Join(loader.ModuleDir, ".imclint-cache")
-		}
-		names := make([]string, len(analyzers))
-		for i, a := range analyzers {
-			names[i] = a.Name
-		}
-		// Hash errors (unreadable tree) just disable the cache; the
-		// loader will surface anything that actually matters.
-		if c, err := openCache(dir, loader.ModuleDir, strings.Join(names, ",")); err == nil {
-			cache = c
-		}
-	}
-	if cache != nil {
-		if m, cached, ok := cache.replay(); ok {
-			rep := report{CallGraph: m.CallGraph, LockGraph: m.LockGraph, Cache: &cache.stats, Findings: []finding{}}
-			for _, f := range cached {
-				if !baselined[f.key()] {
-					rep.Findings = append(rep.Findings, f)
-				}
-			}
-			return emit(stdout, stderr, *jsonOut, rep)
-		}
 	}
 
 	pkgs, err := loader.Load(fs.Args()...)
@@ -205,44 +135,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	findings := []finding{} // non-nil so -json prints [] on a clean tree
-	var manifestPkgs []string
 	for _, pkg := range pkgs {
-		var pkgFindings []finding
-		cached := false
-		if cache != nil {
-			pkgFindings, cached = cache.load(pkg.Path)
+		active := lint.AnalyzersFor(loader.ModulePath, pkg.Path, analyzers)
+		if len(active) == 0 {
+			continue
 		}
-		if !cached {
-			if active := lint.AnalyzersFor(loader.ModulePath, pkg.Path, analyzers); len(active) > 0 {
-				for _, d := range lint.Run(pkg, active) {
-					pkgFindings = append(pkgFindings, finding{
-						Check:   d.Check,
-						File:    relToModule(loader.ModuleDir, d.Pos.Filename),
-						Line:    d.Pos.Line,
-						Col:     d.Pos.Column,
-						Message: d.Message,
-					})
-				}
-			}
+		for _, d := range lint.Run(pkg, active) {
+			findings = append(findings, finding{
+				Check:   d.Check,
+				File:    relToModule(loader.ModuleDir, d.Pos.Filename),
+				Line:    d.Pos.Line,
+				Col:     d.Pos.Column,
+				Message: d.Message,
+			})
 		}
-		if cache != nil {
-			if cached {
-				cache.stats.Hits++
-			} else {
-				cache.stats.Misses++
-				cache.store(pkg.Path, pkgFindings)
-			}
-			manifestPkgs = append(manifestPkgs, pkg.Path)
-		}
-		for _, f := range pkgFindings {
-			if baselined[f.key()] {
-				continue
-			}
-			findings = append(findings, f)
-		}
-	}
-	if cache != nil {
-		cache.storeManifest(manifestPkgs, prog.Graph.Stats(), prog.LockStats())
 	}
 
 	if *bench != "" {
@@ -254,16 +160,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	rep := report{CallGraph: prog.Graph.Stats(), LockGraph: prog.LockStats(), Findings: findings}
-	if cache != nil {
-		rep.Cache = &cache.stats
-	}
-	return emit(stdout, stderr, *jsonOut, rep)
-}
-
-// emit renders the report (JSON or line-per-finding) and returns the
-// process exit code — shared by the live path and the cache replay.
-func emit(stdout, stderr io.Writer, jsonOut bool, rep report) int {
-	if jsonOut {
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -368,22 +265,8 @@ func fullModuleLoad(args []string) bool {
 	return false
 }
 
-// parseBaseline accepts both baseline shapes: the current
-// {"findings": [...]} report object and the pre-v3 bare array.
-func parseBaseline(data []byte) ([]finding, error) {
-	var rep report
-	if err := json.Unmarshal(data, &rep); err == nil && rep.Findings != nil {
-		return rep.Findings, nil
-	}
-	var old []finding
-	if err := json.Unmarshal(data, &old); err != nil {
-		return nil, err
-	}
-	return old, nil
-}
-
 // relToModule renders path relative to the module root, the stable
-// form findings are reported and baselined in.
+// form findings are reported in.
 func relToModule(moduleDir, path string) string {
 	if rel, err := filepath.Rel(moduleDir, path); err == nil && !filepath.IsAbs(rel) && rel != "" && rel[0] != '.' {
 		return rel

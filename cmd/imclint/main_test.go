@@ -40,7 +40,7 @@ func TestExitFindings(t *testing.T) {
 	if !strings.Contains(out, "[determinism]") {
 		t.Errorf("findings output missing check tag: %q", out)
 	}
-	// Paths are module-relative so baselines survive checkout moves.
+	// Paths are module-relative so findings survive checkout moves.
 	first := strings.SplitN(out, ":", 2)[0]
 	if filepath.IsAbs(first) {
 		t.Errorf("finding path %q should be module-relative", first)
@@ -57,9 +57,6 @@ func TestExitUsage(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, "-definitely-not-a-flag"); code != 2 {
 		t.Errorf("bad flag: exit = %d, want 2", code)
-	}
-	if code, _, _ := runCmd(t, "-baseline", "does-not-exist.json", fixtureDir); code != 2 {
-		t.Errorf("missing baseline file: exit = %d, want 2", code)
 	}
 }
 
@@ -163,143 +160,9 @@ func TestJSONGolden(t *testing.T) {
 	}
 }
 
-// perfChecks is the hot-path contract suite introduced in v5.
-const perfChecks = "heapescape,inlineable,boundscheck,ifacedispatch"
-
-// TestPerfContractsSelfCheck runs the four performance-contract
-// analyzers over the entire module and requires a clean tree: every
-// hot-path finding must be either fixed or suppressed with a reasoned
-// `//lint:allow`. It doubles as the fact-cache integration test — the
-// second run must replay from cache with identical findings.
-func TestPerfContractsSelfCheck(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "factcache")
-
-	code, out1, errb := runCmd(t, "-json", "-cache-dir", cacheDir, "-check", perfChecks)
-	if code != 0 {
-		t.Fatalf("perf-contract self-check: exit = %d, want 0 (unsuppressed hot-path findings below)\n%s%s", code, out1, errb)
-	}
-	var rep1 report
-	if err := json.Unmarshal([]byte(out1), &rep1); err != nil {
-		t.Fatalf("self-check -json output: %v", err)
-	}
-	if len(rep1.Findings) != 0 {
-		t.Fatalf("self-check reported %d findings, want 0: %+v", len(rep1.Findings), rep1.Findings)
-	}
-	if rep1.Cache == nil || !rep1.Cache.Enabled {
-		t.Fatal("full-module run should consult the fact cache")
-	}
-	if rep1.Cache.Hits != 0 || rep1.Cache.Misses == 0 {
-		t.Fatalf("cold cache: hits=%d misses=%d, want 0 hits and >0 misses", rep1.Cache.Hits, rep1.Cache.Misses)
-	}
-
-	code, out2, _ := runCmd(t, "-json", "-cache-dir", cacheDir, "-check", perfChecks)
-	if code != 0 {
-		t.Fatalf("cached self-check: exit = %d, want 0", code)
-	}
-	var rep2 report
-	if err := json.Unmarshal([]byte(out2), &rep2); err != nil {
-		t.Fatalf("cached -json output: %v", err)
-	}
-	if rep2.Cache == nil || rep2.Cache.Misses != 0 || rep2.Cache.Hits != rep1.Cache.Misses {
-		t.Fatalf("warm cache: %+v, want %d hits and 0 misses", rep2.Cache, rep1.Cache.Misses)
-	}
-	// Everything except the hit/miss counters must replay bit-for-bit.
-	rep2.Cache = rep1.Cache
-	norm1, _ := json.Marshal(rep1)
-	norm2, _ := json.Marshal(rep2)
-	if string(norm1) != string(norm2) {
-		t.Errorf("cache replay diverged from live run:\nlive: %s\ncached: %s", norm1, norm2)
-	}
-}
-
 // layoutChecks is the memory-layout & data-sharing contract suite
-// introduced in v6.
+// introduced in v6; -bench must carry a row for each.
 const layoutChecks = "structlayout,falseshare,valuecopy,presize"
-
-// TestLayoutContractsSelfCheck runs the four memory-layout analyzers
-// over the entire module and requires a clean tree: every layout
-// finding must be either fixed (reordered, padded, pre-sized) or
-// suppressed with a reasoned `//lint:allow`. The second run must
-// replay from the fact cache with identical findings.
-func TestLayoutContractsSelfCheck(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "factcache")
-
-	code, out1, errb := runCmd(t, "-json", "-cache-dir", cacheDir, "-check", layoutChecks)
-	if code != 0 {
-		t.Fatalf("layout-contract self-check: exit = %d, want 0 (unsuppressed layout findings below)\n%s%s", code, out1, errb)
-	}
-	var rep1 report
-	if err := json.Unmarshal([]byte(out1), &rep1); err != nil {
-		t.Fatalf("self-check -json output: %v", err)
-	}
-	if len(rep1.Findings) != 0 {
-		t.Fatalf("self-check reported %d findings, want 0: %+v", len(rep1.Findings), rep1.Findings)
-	}
-	if rep1.Cache == nil || !rep1.Cache.Enabled {
-		t.Fatal("full-module run should consult the fact cache")
-	}
-
-	code, out2, _ := runCmd(t, "-json", "-cache-dir", cacheDir, "-check", layoutChecks)
-	if code != 0 {
-		t.Fatalf("cached self-check: exit = %d, want 0", code)
-	}
-	var rep2 report
-	if err := json.Unmarshal([]byte(out2), &rep2); err != nil {
-		t.Fatalf("cached -json output: %v", err)
-	}
-	if rep2.Cache == nil || rep2.Cache.Misses != 0 || rep2.Cache.Hits != rep1.Cache.Misses {
-		t.Fatalf("warm cache: %+v, want %d hits and 0 misses", rep2.Cache, rep1.Cache.Misses)
-	}
-}
-
-// TestCacheToolchainInvalidation: facts computed under one toolchain
-// (compiler version + GOOS/GOARCH) must never replay under another —
-// the layout analyzers' findings are shaped by the platform size
-// model. Simulated by swapping the fingerprint hook between runs.
-func TestCacheToolchainInvalidation(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "factcache")
-
-	code, out, _ := runCmd(t, "-json", "-cache-dir", cacheDir, "-check", "determinism")
-	if code != 0 {
-		t.Fatalf("cold run: exit = %d; out=%s", code, out)
-	}
-	var cold report
-	if err := json.Unmarshal([]byte(out), &cold); err != nil {
-		t.Fatal(err)
-	}
-	if cold.Cache == nil || cold.Cache.Misses == 0 {
-		t.Fatalf("cold run should miss, got %+v", cold.Cache)
-	}
-
-	code, out, _ = runCmd(t, "-json", "-cache-dir", cacheDir, "-check", "determinism")
-	if code != 0 {
-		t.Fatalf("warm run: exit = %d", code)
-	}
-	var warm report
-	if err := json.Unmarshal([]byte(out), &warm); err != nil {
-		t.Fatal(err)
-	}
-	if warm.Cache == nil || warm.Cache.Misses != 0 || warm.Cache.Hits != cold.Cache.Misses {
-		t.Fatalf("same toolchain should fully hit: %+v", warm.Cache)
-	}
-
-	old := toolchainFingerprint
-	toolchainFingerprint = func() string { return "go999.9 plan9/mips64" }
-	defer func() { toolchainFingerprint = old }()
-
-	code, out, _ = runCmd(t, "-json", "-cache-dir", cacheDir, "-check", "determinism")
-	if code != 0 {
-		t.Fatalf("post-upgrade run: exit = %d", code)
-	}
-	var upgraded report
-	if err := json.Unmarshal([]byte(out), &upgraded); err != nil {
-		t.Fatal(err)
-	}
-	if upgraded.Cache == nil || upgraded.Cache.Hits != 0 || upgraded.Cache.Misses != cold.Cache.Misses {
-		t.Fatalf("changed toolchain must be a full miss: %+v, want 0 hits and %d misses",
-			upgraded.Cache, cold.Cache.Misses)
-	}
-}
 
 // TestBenchShape locks the -bench JSON schema: version tag, toolchain
 // identity, top-level key order (declaration order — the file must
@@ -359,70 +222,5 @@ func TestBenchShape(t *testing.T) {
 			t.Errorf("key %s out of declaration order", k)
 		}
 		last = i
-	}
-}
-
-// TestCacheDisabled: -cache=false must omit the cache report section
-// and must not create the cache directory.
-func TestCacheDisabled(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "factcache")
-	code, out, _ := runCmd(t, "-json", "-cache=false", "-cache-dir", cacheDir, "-check", "determinism")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; out=%s", code, out)
-	}
-	if strings.Contains(out, "\"cache\"") {
-		t.Errorf("-cache=false output still reports cache stats: %s", out)
-	}
-	if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
-		t.Errorf("-cache=false created %s (stat err=%v)", cacheDir, err)
-	}
-}
-
-// TestBaselineFilters freezes the current findings into a baseline and
-// verifies a re-run reports nothing — the regression-only workflow.
-func TestBaselineFilters(t *testing.T) {
-	_, snapshot, _ := runCmd(t, "-json", "-check", "determinism", fixtureDir)
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(base, []byte(snapshot), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, out, _ := runCmd(t, "-baseline", base, "-check", "determinism", fixtureDir)
-	if code != 0 {
-		t.Fatalf("fully-baselined run: exit = %d, want 0; out=%q", code, out)
-	}
-	if out != "" {
-		t.Errorf("fully-baselined run printed %q, want nothing", out)
-	}
-
-	code, out, _ = runCmd(t, "-json", "-baseline", base, "-check", "determinism", fixtureDir)
-	var cleanRep report
-	if err := json.Unmarshal([]byte(out), &cleanRep); err != nil {
-		t.Fatalf("baselined -json output is not a report: %v", err)
-	}
-	if code != 0 || len(cleanRep.Findings) != 0 {
-		t.Errorf("baselined -json: exit=%d findings=%d, want 0 and none", code, len(cleanRep.Findings))
-	}
-
-	// A partial baseline must keep reporting the rest — and the
-	// pre-v3 bare-array baseline shape must still be accepted.
-	var rep report
-	if err := json.Unmarshal([]byte(snapshot), &rep); err != nil || len(rep.Findings) < 2 {
-		t.Fatalf("need >= 2 findings to test partial baseline, got %d (err=%v)", len(rep.Findings), err)
-	}
-	fs := rep.Findings
-	partial, err := json.Marshal(fs[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(base, partial, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ = runCmd(t, "-baseline", base, "-check", "determinism", fixtureDir)
-	if code != 1 {
-		t.Fatalf("partially-baselined run: exit = %d, want 1", code)
-	}
-	if got := strings.Count(out, "\n"); got != len(fs)-1 {
-		t.Errorf("partially-baselined run reported %d findings, want %d", got, len(fs)-1)
 	}
 }

@@ -41,14 +41,6 @@ func (s *Set) Set(i int) {
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Clear turns bit i off. Out-of-range indices are ignored.
-func (s *Set) Clear(i int) {
-	if i < 0 || i >= s.n {
-		return
-	}
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Test reports whether bit i is on.
 func (s *Set) Test(i int) bool {
 	if i < 0 || i >= s.n {
@@ -66,67 +58,11 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Any reports whether at least one bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Reset clears every bit, keeping capacity.
 func (s *Set) Reset() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-}
-
-// Union sets s = s ∪ other. Sets must have equal capacity.
-func (s *Set) Union(other *Set) {
-	for i := range s.words {
-		s.words[i] |= other.words[i]
-	}
-}
-
-// UnionCount returns |s ∪ other| without mutating either set.
-func (s *Set) UnionCount(other *Set) int {
-	c := 0
-	for i := range s.words {
-		c += bits.OnesCount64(s.words[i] | other.words[i])
-	}
-	return c
-}
-
-// NewlyCovered returns the number of bits set in other but not in s,
-// i.e. the marginal contribution of other on top of s.
-func (s *Set) NewlyCovered(other *Set) int {
-	c := 0
-	for i := range s.words {
-		c += bits.OnesCount64(other.words[i] &^ s.words[i])
-	}
-	return c
-}
-
-// Clone returns an independent copy.
-func (s *Set) Clone() *Set {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return &Set{words: w, n: s.n}
-}
-
-// Equal reports whether both sets have identical capacity and contents.
-func (s *Set) Equal(other *Set) bool {
-	if s.n != other.n {
-		return false
-	}
-	for i := range s.words {
-		if s.words[i] != other.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Ones returns the indices of all set bits in ascending order.

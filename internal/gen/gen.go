@@ -248,23 +248,6 @@ func PathGraph(n int, w float64) (*graph.Graph, error) {
 	return b.Build()
 }
 
-// CompleteGraph builds a directed clique with constant edge weight w,
-// used by property tests.
-func CompleteGraph(n int, w float64) (*graph.Graph, error) {
-	if n <= 0 {
-		return nil, graph.ErrNoNodes
-	}
-	b := graph.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				b.AddEdge(int32(i), int32(j), w)
-			}
-		}
-	}
-	return b.Build()
-}
-
 // RandomDirected generates a uniformly random directed graph with
 // exactly min(m, n*(n-1)) distinct edges and uniform random weights in
 // (0, maxW]. Used heavily by property-based tests.

@@ -54,6 +54,3 @@ func RMAT(levels, m int, a, b, c, d float64, seed uint64) (*graph.Graph, error) 
 	}
 	return builder.Build()
 }
-
-// Graph500 returns the standard Graph500 R-MAT initiator.
-func Graph500() (a, b, c, d float64) { return 0.57, 0.19, 0.19, 0.05 }

@@ -67,14 +67,3 @@ func KCore(g *Graph) []int32 {
 	}
 	return core
 }
-
-// MaxCore returns the degeneracy: the largest core number.
-func MaxCore(core []int32) int32 {
-	best := int32(0)
-	for _, c := range core {
-		if c > best {
-			best = c
-		}
-	}
-	return best
-}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -30,8 +31,8 @@ func TestKCoreCliqueWithTail(t *testing.T) {
 	if core[5] != 2 {
 		t.Fatalf("pendant node core = %d, want 2", core[5])
 	}
-	if MaxCore(core) != 6 {
-		t.Fatalf("degeneracy = %d", MaxCore(core))
+	if slices.Max(core) != 6 {
+		t.Fatalf("degeneracy = %d", slices.Max(core))
 	}
 }
 
@@ -43,7 +44,7 @@ func TestKCoreEmptyAndIsolated(t *testing.T) {
 			t.Fatalf("isolated node %d core = %d", v, c)
 		}
 	}
-	if MaxCore(core) != 0 {
+	if slices.Max(core) != 0 {
 		t.Fatal("degeneracy of empty graph")
 	}
 }
@@ -65,7 +66,7 @@ func TestQuickKCoreInvariant(t *testing.T) {
 			return false
 		}
 		core := KCore(g)
-		k := MaxCore(core)
+		k := slices.Max(core)
 		if k == 0 {
 			return true
 		}
@@ -116,7 +117,7 @@ func TestQuickKCoreBounds(t *testing.T) {
 			return false
 		}
 		core := KCore(g)
-		degeneracy := MaxCore(core)
+		degeneracy := slices.Max(core)
 		for v := 0; v < n; v++ {
 			d := int32(g.OutDegree(NodeID(v)) + g.InDegree(NodeID(v)))
 			if core[v] > d || core[v] > degeneracy || core[v] < 0 {

@@ -9,7 +9,6 @@ var All = []*Analyzer{
 	GoroutineLeak,
 	Printer,
 	SeedPlumb,
-	CtxFirst,
 	CtxPlumb,
 	AllocFree,
 	ErrFlow,
@@ -18,7 +17,6 @@ var All = []*Analyzer{
 	Layering,
 	APISurface,
 	Exhaustive,
-	ChanCtx,
 	GuardedBy,
 	LockHeld,
 	LockOrder,
@@ -86,24 +84,24 @@ const clockPackage = "/internal/clock"
 //     sanctioned time.Now wrapper);
 //   - floatcompare, printer: library packages only;
 //   - seedplumb: the four sampling packages;
-//   - allocfree, purity, ctxplumb: library packages only (the //imc:
-//     annotation contracts live in library code; cmd/ and examples/ are
-//     not on the sampling hot path);
+//   - allocfree, purity: library packages only (the //imc: annotation
+//     contracts live in library code; cmd/ and examples/ are not on the
+//     sampling hot path);
 //   - apisurface: library packages only (cmd/ binaries and examples/
 //     have no API consumers);
 //   - exhaustive: the dispatch packages (expt, serve) whose switches
 //     route on registered algorithm/scheme const sets;
-//   - chanctx, guardedby, lockheld: library packages only (cmd/
-//     binaries hold no long-lived locks and their signal-wait selects
-//     are the process's own lifetime, not a leaked goroutine's);
+//   - guardedby, lockheld: library packages only (cmd/ binaries hold
+//     no long-lived locks);
 //   - heapescape, inlineable, boundscheck, ifacedispatch: library
 //     packages only (the //imc:hotpath perf contracts live in library
 //     code, like allocfree);
 //   - structlayout, falseshare, valuecopy, presize: library packages
 //     only (the memory-layout contracts guard the pooled kernel
 //     structs and worker fan-outs; cmd/ wiring is not bandwidth-bound);
-//   - goroutineleak, ctxfirst, errflow, sharemut, layering, lockorder:
-//     everywhere (a lock-order cycle is a deadlock wherever it lives).
+//   - goroutineleak, ctxplumb, errflow, sharemut, layering, lockorder:
+//     everywhere (a lock-order cycle is a deadlock wherever it lives,
+//     and a dropped ctx is a leak wherever it lives).
 func AnalyzersFor(modulePath, path string, candidates []*Analyzer) []*Analyzer {
 	lib := isLibraryPackage(modulePath, path)
 	out := make([]*Analyzer, 0, len(candidates))
@@ -113,8 +111,8 @@ func AnalyzersFor(modulePath, path string, candidates []*Analyzer) []*Analyzer {
 			if lib && path != modulePath+clockPackage {
 				out = append(out, a)
 			}
-		case "floatcompare", "printer", "allocfree", "purity", "ctxplumb", "apisurface",
-			"chanctx", "guardedby", "lockheld",
+		case "floatcompare", "printer", "allocfree", "purity", "apisurface",
+			"guardedby", "lockheld",
 			"heapescape", "inlineable", "boundscheck", "ifacedispatch",
 			"structlayout", "falseshare", "valuecopy", "presize":
 			if lib {

@@ -14,7 +14,8 @@
 //     sends inside spawned goroutines);
 //   - printer — internal packages return values, they do not print;
 //   - seedplumb — exported APIs that spawn workers must be seedable;
-//   - ctxfirst — context.Context comes first.
+//   - ctxplumb — context.Context comes first, is forwarded to
+//     long-running callees, and is waited on at blocking selects.
 //
 // Violations that are intentional carry a
 // `//lint:allow <check>: <reason>` comment on the offending line (or
@@ -90,10 +91,6 @@ type allowComment struct {
 	reason string
 	// pos locates the comment for hygiene diagnostics.
 	pos token.Pos
-	// legacy records that the comment used the pre-v2 em-dash/double-
-	// dash separator instead of the colon. It shares a word with used —
-	// the flag bytes sit after the aligned fields so neither pads.
-	legacy bool
 	// used flips when the comment suppresses at least one diagnostic
 	// in the current run.
 	used bool
@@ -129,11 +126,11 @@ func NewReporter(pkg *Package) *Reporter {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				checks, reason, legacy, ok := parseAllow(c.Text)
+				checks, reason, ok := parseAllow(c.Text)
 				if !ok {
 					continue
 				}
-				ac := &allowComment{checks: checks, reason: reason, legacy: legacy, pos: c.Pos()}
+				ac := &allowComment{checks: checks, reason: reason, pos: c.Pos()}
 				r.allows = append(r.allows, ac)
 				pos := pkg.Fset.Position(c.Pos())
 				byLine := r.allow[pos.Filename]
@@ -149,41 +146,28 @@ func NewReporter(pkg *Package) *Reporter {
 }
 
 // parseAllow parses a `//lint:allow check1 check2: reason` comment into
-// its check names and justification. The pre-v2 separators ("—", "--")
-// are still recognized so old comments keep suppressing, but they are
-// flagged as legacy by the hygiene pass.
-func parseAllow(text string) (checks []string, reason string, legacy, ok bool) {
+// its check names and justification. Without a colon there is no
+// reason, and every word up to a trailing "//" remark is a check name.
+func parseAllow(text string) (checks []string, reason string, ok bool) {
 	text = strings.TrimPrefix(text, "//")
 	text = strings.TrimSpace(text)
 	const prefix = "lint:allow"
 	if !strings.HasPrefix(text, prefix) {
-		return nil, "", false, false
+		return nil, "", false
 	}
 	rest := text[len(prefix):]
 	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, "", false, false
+		return nil, "", false
 	}
 	if i := strings.Index(rest, ":"); i >= 0 {
 		reason = strings.TrimSpace(rest[i+1:])
 		rest = rest[:i]
-	} else {
-		for _, sep := range []string{"—", "--"} {
-			if i := strings.Index(rest, sep); i >= 0 {
-				reason = strings.TrimSpace(rest[i+len(sep):])
-				rest = rest[:i]
-				legacy = true
-				break
-			}
-		}
-		if !legacy {
-			// A nested "//" starts a trailing remark, not check names.
-			if i := strings.Index(rest, "//"); i >= 0 {
-				rest = rest[:i]
-			}
-		}
+	} else if i := strings.Index(rest, "//"); i >= 0 {
+		// A nested "//" starts a trailing remark, not check names.
+		rest = rest[:i]
 	}
 	checks = strings.Fields(rest)
-	return checks, reason, legacy, len(checks) > 0
+	return checks, reason, len(checks) > 0
 }
 
 // Reportf files a diagnostic at pos unless an allow comment suppresses
@@ -234,7 +218,7 @@ func (r *Reporter) ReportAt(check string, pos token.Position, format string, arg
 const suppressionCheck = "suppression"
 
 // suppressionFindings polices the escape hatch after a run: unknown
-// check names, missing justifications, legacy separators, and — when
+// check names, missing justifications, and — when
 // every check an allow names was actually part of this run — stale
 // comments that suppressed nothing.
 func (r *Reporter) suppressionFindings(active []*Analyzer) []Diagnostic {
@@ -255,9 +239,6 @@ func (r *Reporter) suppressionFindings(active []*Analyzer) []Diagnostic {
 		})
 	}
 	for _, ac := range r.allows {
-		if ac.legacy {
-			report(ac, "legacy allow syntax; write //lint:allow %s: <reason>", strings.Join(ac.checks, " "))
-		}
 		if ac.reason == "" {
 			report(ac, "allow comment without a justification; write //lint:allow %s: <reason>", strings.Join(ac.checks, " "))
 		}

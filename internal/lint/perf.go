@@ -125,17 +125,6 @@ func ctxParamObjects(pkg *Package, fd *ast.FuncDecl) map[types.Object]bool {
 	return out
 }
 
-// isContextTyped reports whether t is context.Context.
-func isContextTyped(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Name() == "Context" &&
-		obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
 // paramTypeAt returns the declared parameter type that the i-th
 // argument of a call to sig lands in, unwrapping the variadic slice's
 // element type. Nil when the call shape doesn't line up (e.g. f(g())

@@ -1,8 +1,8 @@
 // Package suppression is a lint fixture for the escape-hatch police
 // (the pseudo-check "suppression"). It is exercised with ONLY the
 // determinism analyzer active: the live allow must suppress silently,
-// while stale, reasonless, legacy, and unknown-check allows must each
-// be reported on their own line.
+// while stale, reasonless, dash-separated, and unknown-check allows
+// must each be reported on their own line.
 package suppression
 
 import "time"
@@ -27,10 +27,12 @@ func missingReason() int {
 	return 2 //lint:allow floatcompare // want "without a justification"
 }
 
-// legacySeparator still uses the pre-v2 em-dash; it suppresses a real
-// finding (so it is not stale) but must be flagged for migration.
-func legacySeparator() time.Time {
-	return time.Now() //lint:allow determinism — migrate me to the colon form // want "legacy allow syntax"
+// dashSeparator uses an em-dash where the colon belongs. The dash and
+// the word after it parse as check names and the comment has no
+// reason, so it still fails the run even though it suppresses the
+// determinism finding.
+func dashSeparator() time.Time {
+	return time.Now() //lint:allow determinism — migrate // want "without a justification" // want "unknown check" // want "unknown check"
 }
 
 // unknownCheck names a check that does not exist.
