@@ -25,7 +25,10 @@ lint-bench:
 graph:
 	$(GO) run ./cmd/imclint -graph ./...
 
-# Regenerate the exported-API golden snapshot after a deliberate change.
+# Regenerate the two committed snapshots after a deliberate change: the
+# exported-API snapshot (internal/lint/testdata/api.snap) and gc's
+# escape, inlining and bounds-check report on the //imc:hotpath
+# functions (internal/lint/testdata/hotpath.golden).
 api:
 	$(GO) run ./cmd/imclint -update-api ./...
 

@@ -1,5 +1,5 @@
 // Command imclint runs the repository's static-analysis suite:
-// twenty-four analyzers built on go/parser, go/ast, and go/types that
+// twenty-one analyzers built on go/parser, go/ast, and go/types that
 // machine-check the determinism, concurrency, allocation, layering,
 // numeric, hot-path performance, and memory-layout invariants the
 // RIC-sampling guarantees depend on (see DESIGN.md, "Static analysis
@@ -18,10 +18,13 @@
 // -graph dumps the whole-program call graph (node/edge/SCC stats, then
 // one entry per function with its effect summary and resolved callees,
 // followed by the lock-order graph: witness edges and any cycles) and
-// exits. -update-api regenerates the exported-API snapshot the
-// apisurface analyzer checks against. -bench additionally writes a
-// BENCH_lint.json-shaped file with per-analyzer wall time, findings
-// count, and the call/lock graph sizes.
+// exits. -update-api regenerates the two committed snapshots: the
+// exported-API snapshot the apisurface analyzer checks against, and
+// gc's bounds-check, inlining and escape report for the //imc:hotpath
+// functions (hotpath.golden, checked by TestHotPathCompilerReport).
+// -bench additionally writes a BENCH_lint.json-shaped file with
+// per-analyzer wall time, findings count, and the call/lock graph
+// sizes.
 //
 // -json emits a {"callgraph": stats, "lockgraph": stats, "findings":
 // [...]} object, the shape CI uploads as its findings artifact.
@@ -126,11 +129,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "imclint: -update-api requires a full-module load (run without package arguments)")
 			return 2
 		}
-		if err := os.WriteFile(prog.APISnapPath, lint.WriteAPISnapshot(prog), 0o644); err != nil {
+		report, err := lint.HotPathReport(prog)
+		if err != nil {
 			fmt.Fprintln(stderr, "imclint:", err)
 			return 2
 		}
-		fmt.Fprintf(stdout, "wrote %s\n", relToModule(loader.ModuleDir, prog.APISnapPath))
+		// The two committed snapshots sit side by side in lint's testdata.
+		goldens := []struct {
+			path string
+			data []byte
+		}{
+			{prog.APISnapPath, lint.WriteAPISnapshot(prog)},
+			{filepath.Join(filepath.Dir(prog.APISnapPath), "hotpath.golden"), report},
+		}
+		for _, g := range goldens {
+			if err := os.WriteFile(g.path, g.data, 0o644); err != nil {
+				fmt.Fprintln(stderr, "imclint:", err)
+				return 2
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", relToModule(loader.ModuleDir, g.path))
+		}
 		return 0
 	}
 

@@ -3,6 +3,7 @@ package expt
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -89,6 +90,30 @@ func TestBuildInstanceBoundedAndRandom(t *testing.T) {
 func TestBuildInstanceUnknownDataset(t *testing.T) {
 	if _, err := BuildInstance(InstanceConfig{Dataset: "nope"}); err == nil {
 		t.Fatal("want error")
+	}
+}
+
+// TestBuildInstanceScaleRange pins that a scale outside (0, 1] is an
+// error, not a silent full-size build, while the unset 0 still means
+// the full-size default.
+func TestBuildInstanceScaleRange(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), 5, -0.5, 1.0000001, math.Inf(1)} {
+		if _, err := BuildInstance(InstanceConfig{Dataset: "facebook", Scale: scale, Seed: 1}); err == nil {
+			t.Errorf("scale %g: want an out-of-range error", scale)
+		} else if !strings.Contains(err.Error(), "out of (0, 1]") {
+			t.Errorf("scale %g: err = %v, want the range error", scale, err)
+		}
+	}
+	def, err := BuildInstance(InstanceConfig{Dataset: "facebook", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := BuildInstance(InstanceConfig{Dataset: "facebook", Scale: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Config.Scale != 1 || def.G.NumNodes() != full.G.NumNodes() {
+		t.Fatalf("Scale 0 built scale %g with %d nodes, want the full-size %d", def.Config.Scale, def.G.NumNodes(), full.G.NumNodes())
 	}
 }
 

@@ -41,7 +41,8 @@ func (f Formation) String() string {
 type InstanceConfig struct {
 	// Dataset is a registry name from internal/gen ("facebook", ...).
 	Dataset string
-	// Scale shrinks the dataset analog; (0, 1].
+	// Scale shrinks the dataset analog; (0, 1], 0 meaning 1. Any other
+	// value outside (0, 1] is an error.
 	Scale float64
 	// Formation picks Louvain (default) or random communities.
 	Formation Formation
@@ -54,7 +55,9 @@ type InstanceConfig struct {
 }
 
 func (c InstanceConfig) normalized() InstanceConfig {
-	if c.Scale <= 0 || c.Scale > 1 {
+	// Only the unset scale defaults; gen.BuildDataset rejects the rest
+	// of what lies outside (0, 1].
+	if c.Scale == 0 {
 		c.Scale = 1
 	}
 	if c.Formation == 0 {

@@ -151,7 +151,7 @@ func BuildDataset(name string, scale float64, seed uint64) (*graph.Graph, error)
 		sort.Strings(valid)
 		return nil, fmt.Errorf("gen: unknown dataset %q (valid: %v)", name, valid)
 	}
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("gen: scale %g out of (0, 1]", scale)
 	}
 	return d.Build(scale, seed)

@@ -20,9 +20,6 @@ var All = []*Analyzer{
 	GuardedBy,
 	LockHeld,
 	LockOrder,
-	HeapEscape,
-	Inlineable,
-	BoundsCheck,
 	IfaceDispatch,
 	StructLayout,
 	FalseShare,
@@ -93,9 +90,8 @@ const clockPackage = "/internal/clock"
 //     route on registered algorithm/scheme const sets;
 //   - guardedby, lockheld: library packages only (cmd/ binaries hold
 //     no long-lived locks);
-//   - heapescape, inlineable, boundscheck, ifacedispatch: library
-//     packages only (the //imc:hotpath perf contracts live in library
-//     code, like allocfree);
+//   - ifacedispatch: library packages only (the //imc:hotpath perf
+//     contracts live in library code, like allocfree);
 //   - structlayout, falseshare, valuecopy, presize: library packages
 //     only (the memory-layout contracts guard the pooled kernel
 //     structs and worker fan-outs; cmd/ wiring is not bandwidth-bound);
@@ -112,8 +108,7 @@ func AnalyzersFor(modulePath, path string, candidates []*Analyzer) []*Analyzer {
 				out = append(out, a)
 			}
 		case "floatcompare", "printer", "allocfree", "purity", "apisurface",
-			"guardedby", "lockheld",
-			"heapescape", "inlineable", "boundscheck", "ifacedispatch",
+			"guardedby", "lockheld", "ifacedispatch",
 			"structlayout", "falseshare", "valuecopy", "presize":
 			if lib {
 				out = append(out, a)

@@ -70,8 +70,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		"sharemut":      ShareMut,
 		"exhaustive":    Exhaustive,
 		"guardedby":     GuardedBy,
-		"heapescape":    HeapEscape,
-		"boundscheck":   BoundsCheck,
 		"structlayout":  StructLayout,
 		"falseshare":    FalseShare,
 		"valuecopy":     ValueCopy,
@@ -79,15 +77,14 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 	// layering and apisurface need a whole Program (contract file, API
 	// snapshot) rather than a bare fixture package; lockorder and
-	// lockheld need the call graph; inlineable and ifacedispatch need
-	// call-graph nodes and effect summaries. Their fixture coverage
-	// lives in interproc_test.go, concurrency_test.go, and
-	// perfcontract_test.go. Everything else must have a golden fixture
-	// here.
+	// lockheld need the call graph; ifacedispatch needs call-graph
+	// nodes and effect summaries. Their fixture coverage lives in
+	// interproc_test.go, concurrency_test.go, and perfcontract_test.go.
+	// Everything else must have a golden fixture here.
 	programOnly := map[string]bool{
 		"layering": true, "apisurface": true,
 		"lockorder": true, "lockheld": true,
-		"inlineable": true, "ifacedispatch": true,
+		"ifacedispatch": true,
 	}
 	covered := make(map[string]bool)
 	for _, a := range fixtures {
@@ -243,13 +240,13 @@ func TestAnalyzersFor(t *testing.T) {
 		path string
 		want string
 	}{
-		{"imc", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/graph", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/ric", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/maxr", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/clock", "floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/expt", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/serve", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/graph", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/ric", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/maxr", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/clock", "floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/expt", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/serve", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
 		{"imc/cmd/imcrun", "goroutineleak,ctxplumb,errflow,sharemut,layering,lockorder"},
 		{"imc/examples/quickstart", "goroutineleak,ctxplumb,errflow,sharemut,layering,lockorder"},
 	}

@@ -7,14 +7,15 @@ import (
 	"strings"
 )
 
-// This file holds the helpers shared by the v5 performance-contract
-// analyzers (heapescape, inlineable, boundscheck, ifacedispatch). All
-// four enforce properties of `//imc:hotpath` functions — the RIC/RIS
-// sampling kernels and the MAXR marginal-gain scans — where the paper's
-// cost concentrates. They reuse the v3 substrate: loop membership from
-// the CFG (cfg.go), callee reachability from the call graph
-// (callgraph.go), and transitive effects from the summaries
-// (summary.go).
+// This file holds the helpers shared by the analyzers that police
+// `//imc:hotpath` functions — the RIC/RIS sampling kernels and the MAXR
+// marginal-gain scans, where the paper's cost concentrates: allocfree,
+// ifacedispatch, valuecopy and presize. They reuse the v3 substrate:
+// loop membership from the CFG (cfg.go), callee reachability from the
+// call graph (callgraph.go), and transitive effects from the summaries
+// (summary.go). Escapes, inlining and bounds checks in the same
+// functions are not modeled here: the compiler reports them exactly,
+// and hotpath.go checks its report against a golden.
 
 // hotFuncDecls returns the `//imc:hotpath` function declarations of the
 // package in file/source order — the deterministic iteration order all
@@ -64,11 +65,15 @@ func loopStmts(cfg *CFG) []ast.Node {
 // edges, in source order — the edge set transitive perf contracts are
 // checked against. Function-literal interiors are pruned: a closure's
 // body runs on its own schedule. Returns nil outside a whole-program
-// load.
-func loopCallEdges(pkg *Package, fd *ast.FuncDecl, inLoop []ast.Node) (*FuncNode, []*CallEdge) {
-	node := funcNodeOf(pkg, fd)
+// load (fixture mode) or when fd was not type-checked.
+func loopCallEdges(pkg *Package, fd *ast.FuncDecl, inLoop []ast.Node) []*CallEdge {
+	if pkg.Prog == nil || pkg.Info == nil {
+		return nil
+	}
+	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+	node := pkg.Prog.Graph.Node(fn)
 	if node == nil {
-		return nil, nil
+		return nil
 	}
 	edgeAt := make(map[*ast.CallExpr]*CallEdge, len(node.Calls))
 	for i := range node.Calls {
@@ -90,18 +95,7 @@ func loopCallEdges(pkg *Package, fd *ast.FuncDecl, inLoop []ast.Node) (*FuncNode
 			return true
 		})
 	}
-	return node, edges
-}
-
-// funcNodeOf resolves fd to its whole-program call-graph node, nil when
-// the package was loaded standalone (fixture mode) or fd was not
-// type-checked.
-func funcNodeOf(pkg *Package, fd *ast.FuncDecl) *FuncNode {
-	if pkg.Prog == nil || pkg.Info == nil {
-		return nil
-	}
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	return pkg.Prog.Graph.Node(fn)
+	return edges
 }
 
 // ctxParamObjects returns fd's parameters of type context.Context. The

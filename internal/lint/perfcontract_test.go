@@ -1,36 +1,9 @@
 package lint
 
 import (
-	"go/ast"
 	"strings"
 	"testing"
 )
-
-// TestInlineableFixture runs the inlining-contract analyzer over its
-// golden fixture with a whole-program load (the callee chase needs the
-// call graph).
-func TestInlineableFixture(t *testing.T) {
-	t.Parallel()
-	prog := loadProgram(t, false, "inlineable")
-	pkg := progPkg(t, prog, "inlineable")
-	diags := Run(pkg, []*Analyzer{Inlineable})
-	matchWants(t, wantsIn(t, pkg), diags)
-
-	// The budget finding must print the full call chain from the loop's
-	// call site to the oversize callee.
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "exceeds the inlining budget") {
-			found = true
-			if !strings.Contains(d.Message, "viaMid") || !strings.Contains(d.Message, "bigBody") {
-				t.Errorf("budget finding does not print the viaMid → bigBody chain: %s", d.Message)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no over-budget finding reported")
-	}
-}
 
 // TestIfaceDispatchFixture runs the static-dispatch analyzer over its
 // golden fixture and pins the devirtualization-candidate listing the
@@ -60,67 +33,9 @@ func TestIfaceDispatchFixture(t *testing.T) {
 	}
 }
 
-// TestHeapEscapeWitnessChain pins the escape-path rendering: the
-// propagated trace must spell each assignment hop with its position.
-func TestHeapEscapeWitnessChain(t *testing.T) {
-	t.Parallel()
-	pkg := loadFixture(t, "heapescape")
-	diags := Run(pkg, []*Analyzer{HeapEscape})
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "q = p") {
-			found = true
-			for _, frag := range []string{"&x (", "p = &x (", "returned at"} {
-				if !strings.Contains(d.Message, frag) {
-					t.Errorf("witness chain missing hop %q: %s", frag, d.Message)
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no chained-copy escape reported for chainThroughCopies")
-	}
-}
-
-// TestBCEIdiomTable pins the clean side of the bounds-check contract:
-// every idiom* function in the fixture's clean file indexes slices in a
-// hot loop and must produce zero findings.
-func TestBCEIdiomTable(t *testing.T) {
-	t.Parallel()
-	pkg := loadFixture(t, "boundscheck")
-	diags := Run(pkg, []*Analyzer{BoundsCheck})
-
-	type span struct {
-		file   string
-		lo, hi int
-	}
-	idioms := make(map[string]span)
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !strings.HasPrefix(fd.Name.Name, "idiom") {
-				continue
-			}
-			start := pkg.Fset.Position(fd.Pos())
-			end := pkg.Fset.Position(fd.End())
-			idioms[fd.Name.Name] = span{file: start.Filename, lo: start.Line, hi: end.Line}
-		}
-	}
-	if len(idioms) < 9 {
-		t.Fatalf("idiom table has %d entries, want at least 9", len(idioms))
-	}
-	for name, sp := range idioms {
-		for _, d := range diags {
-			if d.Pos.Filename == sp.file && d.Pos.Line >= sp.lo && d.Pos.Line <= sp.hi {
-				t.Errorf("clean idiom %s produced a finding: %s", name, d)
-			}
-		}
-	}
-}
-
-// TestPerfContractDeterminism loads each perf-contract fixture twice,
-// independently, and requires byte-identical diagnostic streams — the
-// same contract the solver output obeys.
+// TestPerfContractDeterminism loads each program-level perf-contract
+// fixture twice, independently, and requires byte-identical diagnostic
+// streams — the same contract the solver output obeys.
 func TestPerfContractDeterminism(t *testing.T) {
 	t.Parallel()
 	render := func(diags []Diagnostic) string {
@@ -131,21 +46,7 @@ func TestPerfContractDeterminism(t *testing.T) {
 		}
 		return sb.String()
 	}
-	standalone := map[string]*Analyzer{"heapescape": HeapEscape, "boundscheck": BoundsCheck}
-	for name, a := range standalone {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			one := render(Run(loadFixture(t, name), []*Analyzer{a}))
-			two := render(Run(loadFixture(t, name), []*Analyzer{a}))
-			if one != two {
-				t.Errorf("diagnostics differ across independent loads:\n--- first\n%s--- second\n%s", one, two)
-			}
-			if one == "" {
-				t.Error("no diagnostics produced; determinism check is vacuous")
-			}
-		})
-	}
-	programLevel := map[string]*Analyzer{"inlineable": Inlineable, "ifacedispatch": IfaceDispatch}
+	programLevel := map[string]*Analyzer{"ifacedispatch": IfaceDispatch}
 	for name, a := range programLevel {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -5,10 +5,11 @@ import (
 	"go/types"
 )
 
-// ValueCopy flags the memmove traffic heapescape cannot see: big struct
-// values copied wholesale inside `//imc:hotpath` functions.
-// heapescape polices the pointer side (values boxed onto the heap);
-// valuecopy polices the value side (bytes moved per iteration). Three
+// ValueCopy flags the memmove traffic an escape report cannot show: big
+// struct values copied wholesale inside `//imc:hotpath` functions. The
+// compiler golden (hotpath.go) pins the pointer side (values moved to
+// the heap); valuecopy polices the value side (bytes moved per
+// iteration). Three
 // shapes fire, each finding carrying the byte size under the canonical
 // layout model and the loop depth it executes at:
 //

@@ -266,6 +266,9 @@ func TestSolverValidationIs4xx(t *testing.T) {
 		{"k past node count", `{"dataset":"karate","scale":1,"k":1000}`},
 		{"eps out of range", `{"dataset":"karate","scale":1,"k":2,"eps":1.5}`},
 		{"negative delta", `{"dataset":"karate","scale":1,"k":2,"delta":-0.5}`},
+		{"scale above 1", `{"dataset":"karate","scale":5,"k":2}`},
+		{"negative scale", `{"dataset":"karate","scale":-0.5,"k":2}`},
+		{"scale just past 1", `{"dataset":"karate","scale":1.0000001,"k":2}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
