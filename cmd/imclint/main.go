@@ -1,5 +1,5 @@
 // Command imclint runs the repository's static-analysis suite:
-// twenty-one analyzers built on go/parser, go/ast, and go/types that
+// seventeen analyzers built on go/parser, go/ast, and go/types that
 // machine-check the determinism, concurrency, allocation, layering,
 // numeric, hot-path performance, and memory-layout invariants the
 // RIC-sampling guarantees depend on (see DESIGN.md, "Static analysis
@@ -115,7 +115,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "imclint:", err)
 		return 2
 	}
-	prog := lint.NewProgram(loader.ModulePath, loader.ModuleDir, pkgs, fullModuleLoad(fs.Args()))
+	// The program spans the requested packages and their in-module
+	// imports, so a partial run sees the same callee bodies a full one
+	// does; findings are reported for the requested packages only.
+	progPkgs, err := loader.WithModuleImports(pkgs)
+	if err != nil {
+		fmt.Fprintln(stderr, "imclint:", err)
+		return 2
+	}
+	prog := lint.NewProgram(loader.ModulePath, loader.ModuleDir, progPkgs, fullModuleLoad(fs.Args()))
 
 	if *graph {
 		var b strings.Builder

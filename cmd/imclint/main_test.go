@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,8 +66,8 @@ func TestListIncludesFlowAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "allocfree", "errflow", "purity", "sharemut",
-		"layering", "apisurface", "exhaustive"} {
+	for _, name := range []string{"determinism", "allocfree", "errflow", "guardedby",
+		"layering", "apisurface", "lockheld"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing %q", name)
 		}
@@ -222,5 +223,41 @@ func TestBenchShape(t *testing.T) {
 			t.Errorf("key %s out of declaration order", k)
 		}
 		last = i
+	}
+}
+
+// TestSinglePackageMatchesFullModule: a run on one package must report
+// exactly what a full-module run reports for that package. The program
+// of a partial run includes the requested packages' in-module imports;
+// without them every callee outside the request read as an unknown
+// external call, which gave allocfree findings on clean hot paths and
+// made lockheld allows look stale.
+func TestSinglePackageMatchesFullModule(t *testing.T) {
+	findingsOf := func(args ...string) []finding {
+		t.Helper()
+		code, out, errb := runCmd(t, append([]string{"-json"}, args...)...)
+		if code == 2 {
+			t.Fatalf("imclint %v: exit 2; stderr=%q", args, errb)
+		}
+		var rep report
+		if err := json.Unmarshal([]byte(out), &rep); err != nil {
+			t.Fatalf("imclint %v: bad JSON: %v", args, err)
+		}
+		return rep.Findings
+	}
+	full := findingsOf("./...")
+	for _, pkg := range []string{"maxr", "diffusion", "ris", "core", "ric", "shard"} {
+		dir := "internal/" + pkg + "/"
+		var want []finding
+		for _, f := range full {
+			if strings.HasPrefix(f.File, dir) {
+				want = append(want, f)
+			}
+		}
+		got := findingsOf("./" + dir)
+		if !slices.Equal(got, want) {
+			t.Errorf("imclint ./%s reports %d findings, the full-module run %d for it:\ngot  %v\nwant %v",
+				dir, len(got), len(want), got, want)
+		}
 	}
 }

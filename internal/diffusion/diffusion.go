@@ -229,7 +229,6 @@ func sortNodes(s []graph.NodeID) {
 // the sum of b_i over communities with at least h_i active members.
 //
 //imc:hotpath
-//imc:pure
 func CommunityBenefit(p *community.Partition, active []bool) float64 {
 	benefit := 0.0
 	for i := 0; i < p.NumCommunities(); i++ {
@@ -255,7 +254,6 @@ func CommunityBenefit(p *community.Partition, active []bool) float64 {
 // ν(S) upper-bound function (eq. 6), used in Fig. 8.
 //
 //imc:hotpath
-//imc:pure
 func FractionalBenefit(p *community.Partition, active []bool) float64 {
 	total := 0.0
 	for i := 0; i < p.NumCommunities(); i++ {

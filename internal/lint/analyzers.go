@@ -8,15 +8,11 @@ var All = []*Analyzer{
 	FloatCompare,
 	GoroutineLeak,
 	Printer,
-	SeedPlumb,
 	CtxPlumb,
 	AllocFree,
 	ErrFlow,
-	Purity,
-	ShareMut,
 	Layering,
 	APISurface,
-	Exhaustive,
 	GuardedBy,
 	LockHeld,
 	LockOrder,
@@ -51,15 +47,6 @@ func ByName(names string) ([]*Analyzer, bool) {
 	return out, true
 }
 
-// samplingPackages are the packages under the seedplumb contract: the
-// ones that draw RIC/RR samples or simulate diffusion in parallel.
-var samplingPackages = map[string]bool{
-	"imc/internal/ric":       true,
-	"imc/internal/ris":       true,
-	"imc/internal/diffusion": true,
-	"imc/internal/maxr":      true,
-}
-
 // isLibraryPackage reports whether path is library code (the root
 // package or anything under internal/), as opposed to cmd/ binaries and
 // examples/ which legitimately print and read the clock.
@@ -80,14 +67,11 @@ const clockPackage = "/internal/clock"
 //   - determinism: library packages only, except internal/clock (the
 //     sanctioned time.Now wrapper);
 //   - floatcompare, printer: library packages only;
-//   - seedplumb: the four sampling packages;
-//   - allocfree, purity: library packages only (the //imc: annotation
+//   - allocfree: library packages only (the //imc: annotation
 //     contracts live in library code; cmd/ and examples/ are not on the
 //     sampling hot path);
 //   - apisurface: library packages only (cmd/ binaries and examples/
 //     have no API consumers);
-//   - exhaustive: the dispatch packages (expt, serve) whose switches
-//     route on registered algorithm/scheme const sets;
 //   - guardedby, lockheld: library packages only (cmd/ binaries hold
 //     no long-lived locks);
 //   - ifacedispatch: library packages only (the //imc:hotpath perf
@@ -95,7 +79,7 @@ const clockPackage = "/internal/clock"
 //   - structlayout, falseshare, valuecopy, presize: library packages
 //     only (the memory-layout contracts guard the pooled kernel
 //     structs and worker fan-outs; cmd/ wiring is not bandwidth-bound);
-//   - goroutineleak, ctxplumb, errflow, sharemut, layering, lockorder:
+//   - goroutineleak, ctxplumb, errflow, layering, lockorder:
 //     everywhere (a lock-order cycle is a deadlock wherever it lives,
 //     and a dropped ctx is a leak wherever it lives).
 func AnalyzersFor(modulePath, path string, candidates []*Analyzer) []*Analyzer {
@@ -107,18 +91,10 @@ func AnalyzersFor(modulePath, path string, candidates []*Analyzer) []*Analyzer {
 			if lib && path != modulePath+clockPackage {
 				out = append(out, a)
 			}
-		case "floatcompare", "printer", "allocfree", "purity", "apisurface",
+		case "floatcompare", "printer", "allocfree", "apisurface",
 			"guardedby", "lockheld", "ifacedispatch",
 			"structlayout", "falseshare", "valuecopy", "presize":
 			if lib {
-				out = append(out, a)
-			}
-		case "seedplumb":
-			if samplingPackages[path] {
-				out = append(out, a)
-			}
-		case "exhaustive":
-			if dispatchPackages[path] {
 				out = append(out, a)
 			}
 		default:
@@ -126,11 +102,4 @@ func AnalyzersFor(modulePath, path string, candidates []*Analyzer) []*Analyzer {
 		}
 	}
 	return out
-}
-
-// dispatchPackages route requests to algorithms by name — the switches
-// the exhaustive analyzer polices.
-var dispatchPackages = map[string]bool{
-	"imc/internal/expt":  true,
-	"imc/internal/serve": true,
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -12,9 +13,6 @@ import (
 //	//imc:hotpath   — the function is on the sampling hot path; the
 //	                  allocfree analyzer forbids per-iteration
 //	                  allocation inside its loops.
-//	//imc:pure      — the function is an estimator/comparator; the
-//	                  purity analyzer forbids writes to package state,
-//	                  impure callees, and retention of argument slices.
 //	//imc:longrun   — the function is a long-running compute entry
 //	                  point; the ctxplumb analyzer requires it to take
 //	                  context.Context first and to forward that context
@@ -44,17 +42,17 @@ import (
 //	                  from false-sharing findings; structlayout skips it
 //	                  (the padding is the point).
 //
-// Grammar: the directive must be its own comment line, attached to the
-// function declaration (in its doc comment or on the line of / above
-// the func keyword) — or, for guardedby, to a struct field (doc or
-// trailing line comment), or, for compact/padded, to a type
-// declaration's doc comment — exactly `//imc:<name>` with an optional
-// argument and trailing prose after a space. Like `//go:` directives
-// there is no space after the slashes.
+// Grammar: the directive must be its own comment line, in the doc
+// comment of a function declaration (hotpath, longrun, locked,
+// prepublish), of a type declaration (compact, padded), or of a struct
+// field, whose trailing line comment also counts (guardedby) — exactly
+// `//imc:<name>` with an optional argument and trailing prose after a
+// space. Like `//go:` directives there is no space after the slashes.
+// A directive anywhere else, or with an unknown name, does nothing, so
+// Run reports it under the "directive" pseudo-check (directiveFindings).
 
 const (
 	directiveHotPath    = "hotpath"
-	directivePure       = "pure"
 	directiveLongRun    = "longrun"
 	directiveGuardedBy  = "guardedby"
 	directiveLocked     = "locked"
@@ -77,10 +75,8 @@ func parseDirective(text string) (string, bool) {
 }
 
 // funcDirectives returns the set of //imc: directives attached to each
-// function declaration of the package, plus the position of every
-// directive that is NOT attached to any function (misplaced directives
-// silently doing nothing are their own bug class; the annotation
-// analyzers report them).
+// function declaration of the package. Directives attached nowhere are
+// reported by directiveFindings.
 func funcDirectives(pkg *Package) map[*ast.FuncDecl]map[string]bool {
 	out := make(map[*ast.FuncDecl]map[string]bool)
 	for _, f := range pkg.Files {
@@ -145,6 +141,98 @@ func typeDirectives(pkg *Package) map[*ast.TypeSpec]map[string]bool {
 					add(ts, gd.Doc)
 				}
 				add(ts, ts.Doc)
+			}
+		}
+	}
+	return out
+}
+
+// directiveCheck is the pseudo-check name for //imc: directives that
+// nothing reads. Like suppressionCheck it is not an Analyzer: the
+// analyzers only look where a directive belongs, so they cannot see
+// one that sits anywhere else.
+const directiveCheck = "directive"
+
+// Where each directive takes effect: the comment groups that
+// funcDirectives, typeDirectives and guardedby's fieldGuards read.
+const (
+	onFunc  = "a function's doc comment"
+	onType  = "a type's doc comment"
+	onField = "a struct field's doc or line comment"
+)
+
+// directivePlaces maps every known directive to the place it is read.
+var directivePlaces = map[string]string{
+	directiveHotPath:    onFunc,
+	directiveLongRun:    onFunc,
+	directiveLocked:     onFunc,
+	directivePrepublish: onFunc,
+	directiveCompact:    onType,
+	directivePadded:     onType,
+	directiveGuardedBy:  onField,
+}
+
+// directiveFindings reports every //imc: comment of pkg that has an
+// unknown name or sits outside the place its directive is read: a
+// misspelled directive, or one detached from its declaration (say by a
+// var inserted between a doc comment and its func), silently turns its
+// contract off.
+func directiveFindings(pkg *Package) []Diagnostic {
+	place := make(map[*ast.Comment]string)
+	mark := func(cg *ast.CommentGroup, where string) {
+		if cg == nil {
+			return
+		}
+		for _, c := range cg.List {
+			place[c] = where
+		}
+	}
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				mark(d.Doc, onFunc)
+			case *ast.GenDecl:
+				if d.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range d.Specs {
+					ts := spec.(*ast.TypeSpec)
+					if len(d.Specs) == 1 {
+						mark(d.Doc, onType)
+					}
+					mark(ts.Doc, onType)
+					if st, ok := ts.Type.(*ast.StructType); ok && st.Fields != nil {
+						for _, field := range st.Fields.List {
+							mark(field.Doc, onField)
+							mark(field.Comment, onField)
+						}
+					}
+				}
+			}
+		}
+	}
+	var out []Diagnostic
+	report := func(c *ast.Comment, format string, args ...any) {
+		out = append(out, Diagnostic{
+			Check:   directiveCheck,
+			Pos:     pkg.Fset.Position(c.Pos()),
+			Message: fmt.Sprintf(format, args...),
+		})
+	}
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if !strings.HasPrefix(c.Text, "//imc:") {
+					continue
+				}
+				name, _ := parseDirective(c.Text)
+				switch want, known := directivePlaces[name]; {
+				case !known:
+					report(c, "unknown directive //imc:%s; the known ones are compact, guardedby, hotpath, locked, longrun, padded and prepublish", name)
+				case place[c] != want:
+					report(c, "//imc:%s does nothing here: it is read only in %s", name, want)
+				}
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // This file builds the whole-program call graph — the substrate of the
-// suite's interprocedural analyzers (transitive allocfree/purity,
-// layering's call-DAG view, and the -graph debug dump). The v2 layer
+// suite's interprocedural analyzers (transitive allocfree,
+// ifacedispatch and lockheld, and the -graph debug dump). The v2 layer
 // stopped at function boundaries: allocfree could prove "this loop does
 // not allocate" but not "…and neither does anything it calls", so a
 // `//imc:hotpath` kernel calling an unannotated helper that allocates
@@ -32,8 +32,8 @@ import (
 //   - function literals are not separate nodes: a literal's body is
 //     folded into its enclosing declared function (its effects and
 //     call edges are attributed to the function that created it). This
-//     over-approximates (the closure may never run) but matches how
-//     the v2 purity pass already treated nested literals;
+//     over-approximates (the closure may never run), which is the safe
+//     direction for every contract built on the summaries;
 //   - calls into packages outside the loaded program (the standard
 //     library) become external edges, classified by the effect table
 //     in summary.go rather than by analyzing their bodies.

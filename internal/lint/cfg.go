@@ -6,7 +6,7 @@ import (
 )
 
 // This file builds per-function control-flow graphs — the substrate of
-// the suite's flow-sensitive analyzers (allocfree, errflow, sharemut).
+// the suite's flow-sensitive analyzers (allocfree, errflow, guardedby).
 // PR-1-era analyzers were purely syntactic: they could say "this
 // expression allocates" but not "…and it does so on every iteration of
 // the sampling loop" or "…only on the error path that never merges back

@@ -2,8 +2,8 @@ package lint
 
 import "go/ast"
 
-// dataflow.go is the small forward-dataflow framework the flow-
-// sensitive analyzers (errflow, sharemut) share. A FlowProblem supplies
+// dataflow.go is the small forward-dataflow framework behind the
+// flow-sensitive errflow analyzer. A FlowProblem supplies
 // the lattice (Merge/Equal), the transfer function over one block
 // statement, and the entry fact; Forward iterates to a fixed point over
 // the CFG in reverse postorder and returns the fact at entry to every

@@ -13,7 +13,6 @@
 //     leak-free patterns (WaitGroup.Add before go, no naked unbuffered
 //     sends inside spawned goroutines);
 //   - printer — internal packages return values, they do not print;
-//   - seedplumb — exported APIs that spawn workers must be seedable;
 //   - ctxplumb — context.Context comes first, is forwarded to
 //     long-running callees, and is waited on at blocking selects.
 //
@@ -283,13 +282,15 @@ func (r *Reporter) Diagnostics() []Diagnostic {
 
 // Run applies every analyzer in the list to pkg and returns the merged,
 // sorted diagnostics — including the suppression hygiene findings for
-// the package's allow comments.
+// the package's allow comments and the directive findings for its
+// //imc: comments.
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	r := NewReporter(pkg)
 	for _, a := range analyzers {
 		a.Run(pkg, r)
 	}
 	r.diags = append(r.diags, r.suppressionFindings(analyzers)...)
+	r.diags = append(r.diags, directiveFindings(pkg)...)
 	return r.Diagnostics()
 }
 

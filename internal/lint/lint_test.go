@@ -60,15 +60,11 @@ func TestAnalyzerFixtures(t *testing.T) {
 		"floatcompare":  FloatCompare,
 		"goroutineleak": GoroutineLeak,
 		"printer":       Printer,
-		"seedplumb":     SeedPlumb,
 		"ctxplumb":      CtxPlumb,
 		"ctxfirst":      CtxPlumb, // ctxplumb's parameter-placement rule
 		"chanctx":       CtxPlumb, // ctxplumb's select-cancellation rule
 		"allocfree":     AllocFree,
 		"errflow":       ErrFlow,
-		"purity":        Purity,
-		"sharemut":      ShareMut,
-		"exhaustive":    Exhaustive,
 		"guardedby":     GuardedBy,
 		"structlayout":  StructLayout,
 		"falseshare":    FalseShare,
@@ -240,15 +236,15 @@ func TestAnalyzersFor(t *testing.T) {
 		path string
 		want string
 	}{
-		{"imc", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/graph", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/ric", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/maxr", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/clock", "floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/expt", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/serve", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/cmd/imcrun", "goroutineleak,ctxplumb,errflow,sharemut,layering,lockorder"},
-		{"imc/examples/quickstart", "goroutineleak,ctxplumb,errflow,sharemut,layering,lockorder"},
+		{"imc", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/graph", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/ric", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/maxr", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/clock", "floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/expt", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/serve", "determinism,floatcompare,goroutineleak,printer,ctxplumb,allocfree,errflow,layering,apisurface,guardedby,lockheld,lockorder,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/cmd/imcrun", "goroutineleak,ctxplumb,errflow,layering,lockorder"},
+		{"imc/examples/quickstart", "goroutineleak,ctxplumb,errflow,layering,lockorder"},
 	}
 	for _, c := range cases {
 		if got := names(AnalyzersFor("imc", c.path, All)); got != c.want {
@@ -265,4 +261,19 @@ func TestByName(t *testing.T) {
 	if _, ok := ByName("nosuch"); ok {
 		t.Fatal("ByName accepted unknown analyzer")
 	}
+}
+
+// TestDirectiveHygiene pins the directive pseudo-check: a misspelled or
+// retired //imc: name and a directive detached from where it is read
+// are findings, every well-placed directive is silent, and the findings
+// come from Run whatever analyzers are active.
+func TestDirectiveHygiene(t *testing.T) {
+	pkg := loadFixture(t, "directive")
+	diags := Run(pkg, nil)
+	for _, d := range diags {
+		if d.Check != directiveCheck {
+			t.Errorf("diagnostic under %q, want the %q pseudo-check: %s", d.Check, directiveCheck, d)
+		}
+	}
+	matchWants(t, wantsIn(t, pkg), diags)
 }

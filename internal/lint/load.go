@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -152,6 +153,44 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 	}
 	return pkgs, nil
+}
+
+// WithModuleImports returns pkgs plus every in-module package they
+// import, directly or transitively, sorted by directory like Load's
+// result. A Program built over pkgs alone would read each in-module
+// callee outside them as an external call of unknown effect, so a run
+// on one package must still see the bodies of the packages it calls.
+func (l *Loader) WithModuleImports(pkgs []*Package) ([]*Package, error) {
+	have := make(map[string]bool, len(pkgs))
+	for _, pkg := range pkgs {
+		have[pkg.Path] = true
+	}
+	out := append(make([]*Package, 0, len(pkgs)), pkgs...)
+	for i := 0; i < len(out); i++ {
+		for _, f := range out[i].Files {
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil || have[path] ||
+					(path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/")) {
+					continue
+				}
+				have[path] = true
+				dir, err := l.resolveDir(path)
+				if err != nil {
+					return nil, err
+				}
+				pkg, err := l.loadDir(dir)
+				if err != nil {
+					return nil, fmt.Errorf("lint: load %s: %w", dir, err)
+				}
+				if pkg != nil {
+					out = append(out, pkg)
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Dir < out[j].Dir })
+	return out, nil
 }
 
 // walkPackageDirs calls add for every directory under root holding at

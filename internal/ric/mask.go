@@ -19,15 +19,11 @@ func newMask(n int) Mask {
 func (m Mask) set(i int) { m[i/maskWordBits] |= 1 << uint(i%maskWordBits) }
 
 // Test reports whether bit i is on.
-//
-//imc:pure
 func (m Mask) Test(i int) bool {
 	return m[i/maskWordBits]&(1<<uint(i%maskWordBits)) != 0
 }
 
 // OnesCount returns the number of set bits.
-//
-//imc:pure
 func (m Mask) OnesCount() int {
 	c := 0
 	for _, w := range m {
@@ -45,8 +41,6 @@ func (m Mask) OrInto(dst Mask) {
 
 // NewBitsOver returns the number of bits set in m but not in base — the
 // marginal member coverage m adds on top of base.
-//
-//imc:pure
 func (m Mask) NewBitsOver(base Mask) int {
 	c := 0
 	for i, w := range m {
@@ -56,8 +50,6 @@ func (m Mask) NewBitsOver(base Mask) int {
 }
 
 // UnionCount returns |m ∪ base| without mutating either mask.
-//
-//imc:pure
 func (m Mask) UnionCount(base Mask) int {
 	c := 0
 	for i, w := range m {

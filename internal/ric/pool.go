@@ -44,8 +44,8 @@ type Pool struct {
 
 	// The sample state is single-writer by contract — GenerateCtx and
 	// ReadInto own it exclusively, then readers share it frozen (the
-	// sharemut analyzer polices that boundary) — so it carries no guard
-	// annotation.
+	// Donor and splice tests under go test -race police that boundary)
+	// — so it carries no guard annotation.
 	samples  []Sample
 	index    [][]CoverEntry
 	commFreq []int // samples per source community
@@ -426,8 +426,6 @@ func (p *Pool) CoverageCount(seeds []graph.NodeID) int {
 }
 
 // scale is b/|R|: one influenced sample's contribution to ĉ_R.
-//
-//imc:pure
 func (p *Pool) scale() float64 {
 	return p.part.TotalBenefit() / float64(len(p.samples))
 }

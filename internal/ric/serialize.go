@@ -181,16 +181,40 @@ func newPoolDecoder(r io.Reader, kind string) *poolDecoder {
 	return &poolDecoder{cr: &countingReader{r: bufio.NewReaderSize(r, 1<<20)}, kind: kind}
 }
 
-func (d *poolDecoder) get32(field string) (uint32, error) {
+// fieldAt locates a decoded field for the truncation error: the sample,
+// cover and mask-word indices, each -1 above the field's level. The
+// label is formatted only when a read fails, so the decode loop does not
+// pay a Sprintf per field.
+type fieldAt struct{ sample, cover, word int64 }
+
+// inHeader locates the stream-level fields (version, identity, counts).
+var inHeader = fieldAt{-1, -1, -1}
+
+// label renders the field's name as error messages spell it, e.g.
+// "sample 3 cover 1 mask word 0".
+func (at fieldAt) label(field string) string {
+	switch {
+	case at.sample < 0:
+		return field
+	case at.cover < 0:
+		return fmt.Sprintf("sample %d %s", at.sample, field)
+	case at.word < 0:
+		return fmt.Sprintf("sample %d cover %d %s", at.sample, at.cover, field)
+	default:
+		return fmt.Sprintf("sample %d cover %d %s %d", at.sample, at.cover, field, at.word)
+	}
+}
+
+func (d *poolDecoder) get32(field string, at fieldAt) (uint32, error) {
 	if _, err := io.ReadFull(d.cr, d.scratch[:4]); err != nil {
-		return 0, fmt.Errorf("ric: %s truncated reading %s: %w", d.kind, field, noEOF(err))
+		return 0, fmt.Errorf("ric: %s truncated reading %s: %w", d.kind, at.label(field), noEOF(err))
 	}
 	return binary.LittleEndian.Uint32(d.scratch[:4]), nil
 }
 
-func (d *poolDecoder) get64(field string) (uint64, error) {
+func (d *poolDecoder) get64(field string, at fieldAt) (uint64, error) {
 	if _, err := io.ReadFull(d.cr, d.scratch[:]); err != nil {
-		return 0, fmt.Errorf("ric: %s truncated reading %s: %w", d.kind, field, noEOF(err))
+		return 0, fmt.Errorf("ric: %s truncated reading %s: %w", d.kind, at.label(field), noEOF(err))
 	}
 	return binary.LittleEndian.Uint64(d.scratch[:]), nil
 }
@@ -213,35 +237,35 @@ func (d *poolDecoder) end() error {
 // or over a different weighted graph of the same shape, is rejected
 // instead of silently forking the PRNG streams on the next Double.
 func (p *Pool) checkIdentity(d *poolDecoder) error {
-	seed, err := d.get64("seed")
+	seed, err := d.get64("seed", inHeader)
 	if err != nil {
 		return err
 	}
 	if seed != p.seed {
 		return fmt.Errorf("ric: %s was sampled with seed %d, pool has seed %d — loading would mix PRNG streams", d.kind, seed, p.seed)
 	}
-	model, err := d.get32("model")
+	model, err := d.get32("model", inHeader)
 	if err != nil {
 		return err
 	}
 	if model != uint32(p.model) {
 		return fmt.Errorf("ric: %s was sampled under model %d, pool uses model %d", d.kind, model, uint32(p.model))
 	}
-	wdigest, err := d.get64("weight digest")
+	wdigest, err := d.get64("weight digest", inHeader)
 	if err != nil {
 		return err
 	}
 	if want := p.g.WeightDigest(); wdigest != want {
 		return fmt.Errorf("ric: %s weight digest %016x does not match graph digest %016x — different edges or weights", d.kind, wdigest, want)
 	}
-	n, err := d.get64("node count")
+	n, err := d.get64("node count", inHeader)
 	if err != nil {
 		return err
 	}
 	if int(n) != p.g.NumNodes() {
 		return fmt.Errorf("ric: %s was sampled over %d nodes, graph has %d", d.kind, n, p.g.NumNodes())
 	}
-	r64, err := d.get64("community count")
+	r64, err := d.get64("community count", inHeader)
 	if err != nil {
 		return err
 	}
@@ -258,18 +282,19 @@ func (p *Pool) checkIdentity(d *poolDecoder) error {
 // surfaces as a descriptive error naming the field being read — never
 // a panic.
 func (p *Pool) decodeSample(d *poolDecoder, i uint64) error {
-	comm, err := d.get32(fmt.Sprintf("sample %d community", i))
+	at := fieldAt{int64(i), -1, -1}
+	comm, err := d.get32("community", at)
 	if err != nil {
 		return err
 	}
 	if int(comm) >= p.part.NumCommunities() {
 		return fmt.Errorf("ric: sample %d: community %d out of range [0, %d)", i, comm, p.part.NumCommunities())
 	}
-	threshold, err := d.get32(fmt.Sprintf("sample %d threshold", i))
+	threshold, err := d.get32("threshold", at)
 	if err != nil {
 		return err
 	}
-	numMembers, err := d.get32(fmt.Sprintf("sample %d member count", i))
+	numMembers, err := d.get32("member count", at)
 	if err != nil {
 		return err
 	}
@@ -282,7 +307,7 @@ func (p *Pool) decodeSample(d *poolDecoder, i uint64) error {
 	if threshold < 1 || threshold > numMembers {
 		return fmt.Errorf("ric: sample %d: threshold %d out of [1, %d members]", i, threshold, numMembers)
 	}
-	coverCount, err := d.get32(fmt.Sprintf("sample %d cover count", i))
+	coverCount, err := d.get32("cover count", at)
 	if err != nil {
 		return err
 	}
@@ -299,14 +324,15 @@ func (p *Pool) decodeSample(d *poolDecoder, i uint64) error {
 	p.commFreq[comm]++
 	wantWords := (uint32(numMembers) + maskWordBits - 1) / maskWordBits
 	for c := uint32(0); c < coverCount; c++ {
-		node, err := d.get32(fmt.Sprintf("sample %d cover %d node", i, c))
+		at.cover = int64(c)
+		node, err := d.get32("node", at)
 		if err != nil {
 			return err
 		}
 		if int(node) >= p.g.NumNodes() {
 			return fmt.Errorf("ric: sample %d: cover node %d out of range [0, %d)", i, node, p.g.NumNodes())
 		}
-		words, err := d.get32(fmt.Sprintf("sample %d cover %d mask width", i, c))
+		words, err := d.get32("mask width", at)
 		if err != nil {
 			return err
 		}
@@ -318,7 +344,7 @@ func (p *Pool) decodeSample(d *poolDecoder, i uint64) error {
 		}
 		mask := make(Mask, words)
 		for wi := range mask {
-			word, err := d.get64(fmt.Sprintf("sample %d cover %d mask word %d", i, c, wi))
+			word, err := d.get64("mask word", fieldAt{at.sample, at.cover, int64(wi)})
 			if err != nil {
 				return err
 			}
@@ -365,7 +391,7 @@ func (p *Pool) ReadInto(r io.Reader) error {
 	if magic != poolMagic {
 		return fmt.Errorf("ric: bad pool magic %q", magic)
 	}
-	version, err := d.get32("version")
+	version, err := d.get32("version", inHeader)
 	if err != nil {
 		return err
 	}
@@ -378,7 +404,7 @@ func (p *Pool) ReadInto(r io.Reader) error {
 	if err := p.checkIdentity(d); err != nil {
 		return err
 	}
-	count, err := d.get64("sample count")
+	count, err := d.get64("sample count", inHeader)
 	if err != nil {
 		return err
 	}

@@ -93,7 +93,7 @@ func (p *Pool) ImportRange(r io.Reader) (lo, hi int, err error) {
 	if magic != shardMagic {
 		return 0, 0, fmt.Errorf("ric: bad shard magic %q", magic)
 	}
-	version, err := d.get32("version")
+	version, err := d.get32("version", inHeader)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -103,11 +103,11 @@ func (p *Pool) ImportRange(r io.Reader) (lo, hi int, err error) {
 	if err := p.checkIdentity(d); err != nil {
 		return 0, 0, err
 	}
-	lo64, err := d.get64("range lo")
+	lo64, err := d.get64("range lo", inHeader)
 	if err != nil {
 		return 0, 0, err
 	}
-	hi64, err := d.get64("range hi")
+	hi64, err := d.get64("range hi", inHeader)
 	if err != nil {
 		return 0, 0, err
 	}
